@@ -91,6 +91,14 @@ stage "fuzz corpus (FuzzPDESDifferential seeds, -race)"
 # replayed as regular tests under the race detector.
 go test -race -run FuzzPDESDifferential ./internal/sim
 
+stage "fuzz corpus (FuzzEventQueue seeds, -race)"
+# The sequential kernel's radix event queue against the reference binary
+# heap: every checked-in push/pop/peek stream — same-instant ties,
+# power-of-two boundaries, far-future times, mid-stream drains, shuffled
+# reloads, RunUntil-style peeks — must pop the identical (time, seq)
+# order. Replayed as regular tests under the race detector.
+go test -race -run FuzzEventQueue ./internal/sim
+
 stage "analytic suite"
 # The closed-form fast-path tier's validation battery: the exact
 # differential tests (point-to-point writes, packet trains, collectives,

@@ -112,25 +112,27 @@ func (s *Sim) SetGrain(n int) {
 
 // reconfigure engages or disengages the PDES executor to match the current
 // Partition/SetWorkers settings, migrating resident events between the
-// sequential heap and the domain queues. Migration preserves every event's
-// (time, seq) key, so the canonical order — and therefore every result —
-// is untouched.
+// sequential radix queue and the domain queues. Migration preserves every
+// event's (time, seq) key, so the canonical order — and therefore every
+// result — is untouched.
 func (s *Sim) reconfigure() {
 	on := s.ndom > 1 && s.kworkers > 1
 	if on && s.pd != nil && s.pd.ndom == s.ndom && s.pd.lookahead == s.la {
 		return // only the worker count changed; nothing resident moves
 	}
 	if s.pd != nil {
-		// Drain the old decomposition back to the sequential heap.
+		// Drain the old decomposition back to the sequential queue, which
+		// re-inserts the events in seq order (radixQueue.load).
 		p := s.pd
 		s.pd = nil
+		var back []event
 		for i := range p.dq {
 			q := &p.dq[i]
-			s.events = append(s.events, q.heap...)
-			s.events = append(s.events, q.inbox...)
+			back = append(back, q.heap...)
+			back = append(back, q.inbox...)
 		}
-		s.events = append(s.events, p.overflow...)
-		s.events.init()
+		back = append(back, p.overflow...)
+		s.events.load(back, s.now)
 	}
 	if !on {
 		return
@@ -144,10 +146,10 @@ func (s *Sim) reconfigure() {
 		p.dq[i].inboxMin = maxTime
 	}
 	s.pd = p
-	for _, e := range s.events {
+	for _, e := range s.events.all() {
 		p.schedule(e)
 	}
-	s.events = nil
+	s.events = radixQueue{}
 }
 
 // domainQ is one domain's event state. During a window's parallel phase

@@ -11,8 +11,10 @@
 //
 // The kernel has two executors over the same canonical event order:
 //
-//   - The sequential executor (the default): one binary heap, one event at
-//     a time.
+//   - The sequential executor (the default): one event at a time from a
+//     monotone radix queue (queue.go). It is exact because the kernel never
+//     schedules before now, and it keeps same-instant events in scheduling
+//     order.
 //   - The parallel PDES executor (pdes.go): the event population is
 //     partitioned into spatial domains with one queue per domain, windows
 //     derived from the minimum inter-domain link latency are processed with
@@ -83,9 +85,11 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// eventHeap is a binary min-heap over the canonical order. The methods are
-// hand-rolled rather than container/heap so pops do not box events into
-// interfaces — the queue is the kernel's hottest data structure.
+// eventHeap is a binary min-heap over the canonical order, used by the
+// PDES executor for its domain and overflow queues: its commit loop
+// compares (at, seq) heads across queues, which a bucket queue cannot
+// answer without a scan. The methods are hand-rolled rather than
+// container/heap so pops do not box events into interfaces.
 type eventHeap []event
 
 func (h *eventHeap) push(e event) {
@@ -144,7 +148,7 @@ func (h *eventHeap) init() {
 type Sim struct {
 	now    Time
 	seq    uint64
-	events eventHeap
+	events radixQueue
 	nfired uint64
 
 	// curDom is the domain of the event currently executing; events
@@ -226,7 +230,7 @@ func (s *Sim) Pending() int {
 	if s.pd != nil {
 		return s.pd.count
 	}
-	return len(s.events)
+	return s.events.n
 }
 
 // At schedules fn to run at absolute time t in the current event's domain.
@@ -291,7 +295,7 @@ func (s *Sim) Step() bool {
 	if s.pd != nil {
 		return s.pd.step(s)
 	}
-	if len(s.events) == 0 {
+	if s.events.n == 0 {
 		return false
 	}
 	e := s.events.pop()
@@ -347,12 +351,12 @@ func (s *Sim) RunUntil(deadline Time) bool {
 		return false
 	}
 	if s.abortFn == nil {
-		for len(s.events) > 0 && s.events[0].at <= deadline {
+		for s.events.n > 0 && s.events.min() <= deadline {
 			s.Step()
 		}
 	} else {
 		budget := s.abortBatchSize()
-		for len(s.events) > 0 && s.events[0].at <= deadline {
+		for s.events.n > 0 && s.events.min() <= deadline {
 			if budget == 0 {
 				if s.abortNow() {
 					return false
@@ -366,7 +370,7 @@ func (s *Sim) RunUntil(deadline Time) bool {
 			return false
 		}
 	}
-	if len(s.events) == 0 {
+	if s.events.n == 0 {
 		return true
 	}
 	s.now = deadline
