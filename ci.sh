@@ -3,9 +3,9 @@
 # test suite, the named subsystem batteries (fault injection, metrics,
 # hard-failure recovery, checkpoint/restart, the analytic fast-path
 # tier, the HTTP serving tier with its cache-equivalence and stress
-# batteries), the PDES golden-identity gate (every report byte-identical
-# at any -workers setting), the PDES perf-trajectory gate against the
-# committed BENCH_pdes.json, the analytic fast-path gate against
+# batteries), the golden-identity gate (every report byte-identical at
+# any -workers setting), the event-kernel perf-trajectory gate against
+# the committed BENCH_pdes.json, the analytic fast-path gate against
 # BENCH_analytic.json (exact answer checksums plus the >=1000x per-query
 # speedup floor), and the serving-tier load gate against BENCH_serve.json
 # (exact response checksum, latency within SERVE_TOLERANCE).
@@ -85,18 +85,17 @@ stage "fuzz corpus (FuzzFaultPlanParse seeds)"
 # Runs the checked-in seed corpus as regular tests (no fuzzing time).
 go test -run FuzzFaultPlanParse ./internal/fault
 
-stage "fuzz corpus (FuzzPDESDifferential seeds, -race)"
-# The differential determinism fuzzer's seed corpus — random machine
-# workloads compared sequential vs PDES across a workers×grain grid —
-# replayed as regular tests under the race detector.
-go test -race -run FuzzPDESDifferential ./internal/sim
+stage "fuzz corpus (FuzzMachineReplay seeds, -race)"
+# The replay determinism fuzzer's seed corpus — random machine workloads
+# run twice, whose trajectories must match byte for byte with no event
+# left pending — replayed as regular tests under the race detector.
+go test -race -run FuzzMachineReplay ./internal/sim
 
 stage "fuzz corpus (FuzzEventQueue seeds, -race)"
-# The sequential kernel's radix event queue against the reference binary
-# heap: every checked-in push/pop/peek stream — same-instant ties,
-# power-of-two boundaries, far-future times, mid-stream drains, shuffled
-# reloads, RunUntil-style peeks — must pop the identical (time, seq)
-# order. Replayed as regular tests under the race detector.
+# The kernel's radix event queue against the reference binary heap:
+# every checked-in push/pop/peek stream — same-instant ties,
+# power-of-two boundaries, far-future times, mid-stream drains,
+# RunUntil-style peeks — must pop the identical (time, seq) order. Replayed as regular tests under the race detector.
 go test -race -run FuzzEventQueue ./internal/sim
 
 stage "analytic suite"
@@ -240,8 +239,8 @@ done
 "$tmpdir/bin/mdsim" -restore "$tmpdir/md-4.ckpt" -steps 12 -workers 8 >"$tmpdir/md-cross.out"
 cmp "$tmpdir/md-full.out" "$tmpdir/md-cross.out"
 
-stage "PDES golden identity (workers 1 vs 8)"
-# The parallel event kernel must not change a byte of any experiment
+stage "golden identity (workers 1 vs 8)"
+# The -workers goroutine budget must not change a byte of any experiment
 # report or trace. Run the headline latency experiment, the metrics
 # observability experiment (capturing its chrome-trace export), both
 # fault sweeps, and the analytic fast-path differential report through
@@ -251,16 +250,16 @@ stage "PDES golden identity (workers 1 vs 8)"
 # require identical bytes.
 for w in 1 8; do
 	"$tmpdir/bin/antonbench" -quick -workers "$w" \
-		-trace-out "$tmpdir/pdes-trace-$w.json" fig6 metrics faultsweep killsweep fastpath |
-		sed -e '/^\[.* completed in /d' -e '/^wrote /d' >"$tmpdir/pdes-$w.out"
+		-trace-out "$tmpdir/golden-trace-$w.json" fig6 metrics faultsweep killsweep fastpath |
+		sed -e '/^\[.* completed in /d' -e '/^wrote /d' >"$tmpdir/golden-$w.out"
 done
-cmp "$tmpdir/pdes-1.out" "$tmpdir/pdes-8.out"
-cmp "$tmpdir/pdes-trace-1.json" "$tmpdir/pdes-trace-8.json"
+cmp "$tmpdir/golden-1.out" "$tmpdir/golden-8.out"
+cmp "$tmpdir/golden-trace-1.json" "$tmpdir/golden-trace-8.json"
 
 stage "perf gates (BENCH_pdes.json, BENCH_analytic.json, BENCH_serve.json)"
-# Time the PDES kernel on the gate workloads at workers 1/4/8 and
-# compare wall time against the committed baseline (exact event counts
-# are part of the contract), then gate the analytic fast-path tier:
+# Time the event kernel on the gate workloads and compare wall time
+# against the committed baseline (exact event counts are part of the
+# contract), then gate the analytic fast-path tier:
 # exact answer checksums (the fit fingerprint) and the >=1000x
 # per-query speedup floor over one equivalent DES run. Finally replay
 # the committed serving-tier load mix against an in-process antonserve:

@@ -67,7 +67,7 @@ func main() {
 	desWorkers := flag.Int("des-workers", 1, "event-driven queue worker pool size")
 	analyticWorkers := flag.Int("analytic-workers", 1, "analytic queue worker pool size")
 	queueDepth := flag.Int("queue-depth", 64, "per-fidelity queue bound (full queue answers 503)")
-	sessionWorkers := flag.Int("session-workers", 1, "default per-run sweep/PDES goroutine budget")
+	sessionWorkers := flag.Int("session-workers", 1, "default per-run sweep goroutine budget")
 	timeout := flag.Duration("timeout", 0, "default deadline for requests without timeout_ms (0 = none)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-drain budget before in-flight work is aborted")
 	flag.Parse()

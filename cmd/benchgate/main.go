@@ -1,21 +1,20 @@
-// Command benchgate is the PDES perf-trajectory gate. It times the
-// parallel event kernel on the shared benchmark workloads
-// (harness.PDESBenchmarks) at a fixed set of worker counts, then
-// compares host wall time per operation against the committed baseline
-// BENCH_pdes.json and exits nonzero on a regression beyond the
-// tolerance.
+// Command benchgate is the event-kernel perf-trajectory gate. It times
+// the event kernel on the shared benchmark workloads
+// (harness.KernelBenchmarks), then compares host wall time per operation
+// against the committed baseline BENCH_pdes.json and exits nonzero on a
+// regression beyond the tolerance.
 //
 // Usage:
 //
-//	benchgate [-baseline BENCH_pdes.json] [-tolerance 0.15] [-workers 1,4,8]
+//	benchgate [-baseline BENCH_pdes.json] [-tolerance 0.15]
 //	          [-benchtime 1s] [-out fresh.json] [-update]
 //
 // The committed baseline pins two things with different strictness:
 //
 //   - events: the number of simulation events each workload fires. This
-//     is a pure function of the model — identical on every host and at
-//     every -workers setting — so any mismatch fails the gate exactly.
-//     A deliberate model change updates it via -update.
+//     is a pure function of the model — identical on every host — so any
+//     mismatch fails the gate exactly. A deliberate model change updates
+//     it via -update.
 //   - wall_ns_per_op: host wall time, inherently machine- and
 //     load-dependent, gated with a relative tolerance (default 0.15,
 //     overridable by the BENCH_TOLERANCE environment variable — CI
@@ -50,7 +49,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -64,10 +62,9 @@ const benchSchema = "anton-bench/v1"
 // analyticSchema versions the BENCH_analytic.json layout.
 const analyticSchema = "anton-analytic/v1"
 
-// Result is one (workload, workers) measurement.
+// Result is one workload measurement.
 type Result struct {
 	Name         string  `json:"name"`
-	Workers      int     `json:"workers"`
 	WallNsPerOp  int64   `json:"wall_ns_per_op"`
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -104,8 +101,7 @@ type AnalyticFile struct {
 func main() {
 	baseline := flag.String("baseline", "BENCH_pdes.json", "committed baseline to compare against (and rewrite with -update)")
 	tolerance := flag.Float64("tolerance", defaultTolerance(), "relative wall-time regression that fails the gate (BENCH_TOLERANCE env overrides the default)")
-	workersFlag := flag.String("workers", "1,4,8", "comma-separated PDES kernel worker counts to measure")
-	benchtime := flag.String("benchtime", "1s", "minimum measurement time per (workload, workers) point")
+	benchtime := flag.String("benchtime", "1s", "minimum measurement time per workload")
 	repeat := flag.Int("repeat", 3, "measurements per point; the minimum wall time is kept (noise robustness)")
 	out := flag.String("out", "", "also write the fresh measurements to this file")
 	update := flag.Bool("update", false, "rewrite the baselines from the fresh measurements instead of comparing")
@@ -124,15 +120,11 @@ func main() {
 	if err := flag.Set("test.benchtime", *benchtime); err != nil {
 		fatalf("-benchtime %q: %v", *benchtime, err)
 	}
-	workerCounts, err := parseWorkers(*workersFlag)
-	if err != nil {
-		fatalf("-workers: %v", err)
-	}
 	if *repeat < 1 {
 		fatalf("-repeat must be at least 1")
 	}
 
-	fresh := measure(workerCounts, *repeat)
+	fresh := measure(*repeat)
 	if *out != "" {
 		if err := writeFile(*out, fresh); err != nil {
 			fatalf("%v", err)
@@ -154,6 +146,7 @@ func main() {
 		cfg := serve.LoadConfig{Requests: 200, Clients: 8}
 		var seed uint64 = 1
 		if !*update {
+			var err error
 			baseS, err = readServeFile(*serveBaseline)
 			if err != nil {
 				fatalf("%v (run with -update to create the baseline)", err)
@@ -219,7 +212,7 @@ func fatalf(format string, args ...interface{}) {
 }
 
 // defaultServeTolerance is 0.50 unless the SERVE_TOLERANCE environment
-// variable overrides it. Looser than the PDES gate: an end-to-end HTTP
+// variable overrides it. Looser than the kernel gate: an end-to-end HTTP
 // load run sees scheduler and network-stack noise the event kernel
 // does not.
 func defaultServeTolerance() float64 {
@@ -290,56 +283,33 @@ func defaultTolerance() float64 {
 	return 0.15
 }
 
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q", f)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
-}
-
-// measure times every gate workload at every worker count with the
-// testing package's benchmark machinery (adaptive b.N against
-// -benchtime), keeps the minimum of repeat measurements — the
-// statistic least disturbed by scheduler and cache noise — and reports
-// progress on stderr so CI logs show where the time goes.
-func measure(workerCounts []int, repeat int) File {
+// measure times every gate workload with the testing package's
+// benchmark machinery (adaptive b.N against -benchtime), keeps the
+// minimum of repeat measurements — the statistic least disturbed by
+// scheduler and cache noise — and reports progress on stderr so CI logs
+// show where the time goes.
+func measure(repeat int) File {
 	f := File{Schema: benchSchema}
-	for _, bm := range harness.PDESBenchmarks() {
-		for _, w := range workerCounts {
-			bm, w := bm, w
-			var events uint64
-			var nsPerOp int64
-			for k := 0; k < repeat; k++ {
-				r := testing.Benchmark(func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						events = bm.Run(w)
-					}
-				})
-				if ns := r.NsPerOp(); k == 0 || ns < nsPerOp {
-					nsPerOp = ns
+	for _, bm := range harness.KernelBenchmarks() {
+		var events uint64
+		var nsPerOp int64
+		for k := 0; k < repeat; k++ {
+			r := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					events = bm.Run()
 				}
+			})
+			if ns := r.NsPerOp(); k == 0 || ns < nsPerOp {
+				nsPerOp = ns
 			}
-			res := Result{
-				Name:        bm.Name,
-				Workers:     w,
-				WallNsPerOp: nsPerOp,
-				Events:      events,
-			}
-			if nsPerOp > 0 {
-				res.EventsPerSec = float64(events) / (float64(nsPerOp) / 1e9)
-			}
-			fmt.Fprintf(os.Stderr, "benchgate: %-6s workers=%d  %12d ns/op  %10.0f events/sec  (min of %d)\n",
-				bm.Name, w, nsPerOp, res.EventsPerSec, repeat)
-			f.Results = append(f.Results, res)
 		}
+		res := Result{Name: bm.Name, WallNsPerOp: nsPerOp, Events: events}
+		if nsPerOp > 0 {
+			res.EventsPerSec = float64(events) / (float64(nsPerOp) / 1e9)
+		}
+		fmt.Fprintf(os.Stderr, "benchgate: %-6s  %12d ns/op  %10.0f events/sec  (min of %d)\n",
+			bm.Name, nsPerOp, res.EventsPerSec, repeat)
+		f.Results = append(f.Results, res)
 	}
 	return f
 }
@@ -482,23 +452,21 @@ func writeFile(path string, f File) error {
 // baseline's event count, and not regress in wall time beyond the
 // tolerance.
 func compare(base, fresh File, tolerance float64) bool {
-	key := func(r Result) string { return fmt.Sprintf("%s/workers=%d", r.Name, r.Workers) }
 	got := map[string]Result{}
 	for _, r := range fresh.Results {
-		got[key(r)] = r
+		got[r.Name] = r
 	}
 	inBase := map[string]bool{}
 	for _, b := range base.Results {
-		inBase[key(b)] = true
+		inBase[b.Name] = true
 	}
 	ok := true
 	fmt.Printf("%-16s %14s %14s %8s %14s  %s\n",
 		"workload", "baseline ns/op", "measured ns/op", "delta", "events/sec", "verdict")
 	for _, b := range base.Results {
-		k := key(b)
-		c, found := got[k]
+		c, found := got[b.Name]
 		if !found {
-			fmt.Printf("%-16s %14d %14s %8s %14s  MISSING\n", k, b.WallNsPerOp, "-", "-", "-")
+			fmt.Printf("%-16s %14d %14s %8s %14s  MISSING\n", b.Name, b.WallNsPerOp, "-", "-", "-")
 			ok = false
 			continue
 		}
@@ -516,12 +484,12 @@ func compare(base, fresh File, tolerance float64) bool {
 			verdict = "ok (faster than baseline; consider ratcheting with -update)"
 		}
 		fmt.Printf("%-16s %14d %14d %+7.1f%% %14.0f  %s\n",
-			k, b.WallNsPerOp, c.WallNsPerOp, 100*delta, c.EventsPerSec, verdict)
+			b.Name, b.WallNsPerOp, c.WallNsPerOp, 100*delta, c.EventsPerSec, verdict)
 	}
 	for _, c := range fresh.Results {
-		if !inBase[key(c)] {
+		if !inBase[c.Name] {
 			fmt.Printf("%-16s %14s %14d %8s %14.0f  not in baseline (add with -update)\n",
-				key(c), "-", c.WallNsPerOp, "-", c.EventsPerSec)
+				c.Name, "-", c.WallNsPerOp, "-", c.EventsPerSec)
 		}
 	}
 	return ok

@@ -58,7 +58,7 @@ func TestAnalyticMatchesMeasure(t *testing.T) {
 	from, _ := parseCoord("0,0,0")
 	to, _ := parseCoord("1,2,0")
 	for _, bytes := range []int{0, 64, 256} {
-		des, _, _ := measure(tor, from, to, bytes, 1, nil, false)
+		des, _, _ := measure(tor, from, to, bytes, nil, false)
 		an := analyticLatency(tor, from, to, bytes)
 		if an != des {
 			t.Errorf("%dB: analytic %v, DES %v", bytes, an, des)

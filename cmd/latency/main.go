@@ -83,9 +83,8 @@ func parseTorus(s string) (topo.Torus, error) {
 	return topo.NewTorus(x, y, z), nil
 }
 
-func measure(tor topo.Torus, from, to topo.Coord, bytes, workers int, plan *fault.Plan, record bool) (sim.Dur, fault.Stats, *metrics.Recorder) {
+func measure(tor topo.Torus, from, to topo.Coord, bytes int, plan *fault.Plan, record bool) (sim.Dur, fault.Stats, *metrics.Recorder) {
 	s := sim.New()
-	s.SetWorkers(workers)
 	if plan != nil {
 		fault.Attach(s, *plan)
 	}
@@ -110,7 +109,7 @@ func main() {
 	bytes := flag.Int("bytes", 0, "payload size (0-256)")
 	sweep := flag.Bool("sweep", false, "sweep payload sizes 0..256")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"goroutines for the payload sweep and the PDES kernel (1 = sequential; output is identical for any value)")
+		"goroutines for the payload sweep (1 = sequential; output is identical for any value)")
 	faultsFlag := flag.String("faults", "",
 		"fault plan for the measured machine (e.g. seed=7,corrupt=0.1,retry=50ns)")
 	traceOut := flag.String("trace-out", "",
@@ -167,7 +166,7 @@ func main() {
 			}
 		} else {
 			par.ParFor(par.Workers(*workers), len(sizes), func(i int) {
-				lats[i], _, _ = measure(tor, from, to, sizes[i], *workers, plan, false)
+				lats[i], _, _ = measure(tor, from, to, sizes[i], plan, false)
 			})
 		}
 		for i, b := range sizes {
@@ -181,7 +180,7 @@ func main() {
 	if analytical {
 		lat = analyticLatency(tor, from, to, *bytes)
 	} else {
-		lat, stats, rec = measure(tor, from, to, *bytes, *workers, plan, *traceOut != "")
+		lat, stats, rec = measure(tor, from, to, *bytes, plan, *traceOut != "")
 	}
 	fmt.Printf("one-way software-to-software latency (%dB payload): %.1f ns\n", *bytes, lat.Ns())
 	if plan != nil {

@@ -248,7 +248,6 @@ func run(cfg config, steps, workers int, snap *checkpoint.State, ckptOut string,
 
 	fmt.Fprintf(out, "=== %d-atom workload on a %s Anton machine ===\n", cfg.atoms, cfg.torus)
 	s := sim.New()
-	s.SetWorkers(workers)
 	if plan != nil {
 		fault.Attach(s, *plan)
 	}

@@ -83,38 +83,16 @@ type Cluster struct {
 	hard       bool
 	failedOver []bool
 	rec        RecoveryStats
-
-	// ndom is the PDES rank-block decomposition (see New).
-	ndom int
 }
-
-// domain maps a rank to its PDES spatial domain: contiguous rank blocks.
-func (c *Cluster) domain(rank int) int { return rank * c.ndom / c.N }
-
-// maxDomains caps the PDES rank-block decomposition (see machine's
-// equivalent; the considerations match).
-const maxDomains = 64
 
 // New builds a cluster of n ranks.
 func New(s *sim.Sim, n int, m Model) *Cluster {
-	// The cluster model's handlers mutate shared tallies (drop counters,
-	// retransmit state) from arbitrary ranks, so it has not been audited
-	// for the stage-2 domain-confinement contract: veto it permanently.
-	s.SetConfined(false)
 	c := &Cluster{Sim: s, Model: m, N: n, faults: fault.FromSim(s), metrics: metrics.FromSim(s)}
-	c.ndom = n
-	if c.ndom > maxDomains {
-		c.ndom = maxDomains
-	}
-	// Rank-to-rank interactions are never closer than the wire latency,
-	// so it is the conservative PDES window for this model.
-	s.Partition(c.ndom, m.Latency)
 	c.nic = make([]*sim.Resource, n)
 	c.cpu = make([]*sim.Resource, n)
 	for i := 0; i < n; i++ {
-		dom := c.domain(i)
-		c.nic[i] = sim.NewResource(s).InDomain(dom)
-		c.cpu[i] = sim.NewResource(s).InDomain(dom)
+		c.nic[i] = sim.NewResource(s)
+		c.cpu[i] = sim.NewResource(s)
 	}
 	if c.faults.HardFaults() {
 		c.hard = true
@@ -173,9 +151,7 @@ func (c *Cluster) Send(src, dst, bytes int, onRecv func(at sim.Time)) {
 				return
 			}
 			arrive := start.Add(m.SendOverhead + m.Latency + sim.Dur(bytes)*m.PsPerByte)
-			// Cross-rank hand-off: the delivery events belong to the
-			// receiving rank's domain, at least one wire latency ahead.
-			c.Sim.AtDomain(c.domain(dst), arrive, func() {
+			c.Sim.At(arrive, func() {
 				if c.hard && c.faults.NodeKilledAt(dst, arrive) {
 					c.rec.Lost++
 					return

@@ -52,17 +52,11 @@ func (b *Broadcast) Run(root topo.NodeID, payload []float64, done func(at sim.Ti
 	ctr := b.cfg.CtrBase + 7
 	addr := int(b.gen) * max(b.cfg.Values, 1)
 	recvd := func(n topo.NodeID) {
-		ctx := m.Ctx(n)
 		m.Client(packet.Client{Node: n, Kind: packet.Slice0}).Wait(ctr, b.gen, func() {
-			// remaining is a cross-node completion count: decrement at the
-			// canonical commit slot.
-			at := ctx.Now()
-			ctx.Defer(func() {
-				remaining--
-				if remaining == 0 && done != nil {
-					done(at)
-				}
-			})
+			remaining--
+			if remaining == 0 && done != nil {
+				done(m.Sim.Now())
+			}
 		})
 	}
 	rootCoord := m.Torus.Coord(root)

@@ -175,18 +175,10 @@ func (ar *AllReduce) Result(n topo.NodeID) []float64 { return ar.partial[n] }
 // redundantly compute the new partial sum.
 func (ar *AllReduce) round(n topo.NodeID, d topo.Dim, done func(sim.Time)) {
 	m := ar.m
-	ctx := m.Ctx(n)
-	if ar.rec != nil {
-		// roundOpen/roundStart are cross-node: the canonically first node
-		// entering the round opens the span, so resolve the race at the
-		// commit slot.
-		at := ctx.Now()
-		ctx.Defer(func() {
-			if !ar.roundOpen[d] {
-				ar.roundOpen[d] = true
-				ar.roundStart[d] = at
-			}
-		})
+	if ar.rec != nil && !ar.roundOpen[d] {
+		// The first node entering the round opens the span.
+		ar.roundOpen[d] = true
+		ar.roundStart[d] = m.Sim.Now()
 	}
 	ringN := m.Torus.Size(d)
 	c := m.Torus.Coord(n)
@@ -218,15 +210,12 @@ func (ar *AllReduce) round(n topo.NodeID, d topo.Dim, done func(sim.Time)) {
 			}
 		}
 		cost := ar.cfg.RoundOverhead + sim.Dur(ar.cfg.Values*ringN)*ar.cfg.PerValueAdd
-		ctx.After(cost, func() {
+		m.Sim.After(cost, func() {
 			if ar.rec != nil {
-				end := ctx.Now()
-				ctx.Defer(func() {
-					ar.roundLeft[d]--
-					if ar.roundLeft[d] == 0 {
-						ar.rec.Span(fmt.Sprintf("all-reduce round %v", d), ar.roundStart[d], end)
-					}
-				})
+				ar.roundLeft[d]--
+				if ar.roundLeft[d] == 0 {
+					ar.rec.Span(fmt.Sprintf("all-reduce round %v", d), ar.roundStart[d], m.Sim.Now())
+				}
 			}
 			if d < topo.Z {
 				ar.round(n, d+1, done)
@@ -241,20 +230,15 @@ func (ar *AllReduce) round(n topo.NodeID, d topo.Dim, done func(sim.Time)) {
 // slices with local writes, completing the operation on this node.
 func (ar *AllReduce) share(n topo.NodeID, done func(sim.Time)) {
 	m := ar.m
-	ctx := m.Ctx(n)
 	src := m.Client(packet.Client{Node: n, Kind: packet.Slice2})
 	ctr := ar.cfg.CtrBase + 3
 	waiting := 3
 	for _, k := range []packet.ClientKind{packet.Slice0, packet.Slice1, packet.Slice3} {
 		dst := packet.Client{Node: n, Kind: k}
 		m.Client(dst).Wait(ctr, ar.gen, func() {
-			// All three waits live on node n, so `waiting` is
-			// domain-confined; done touches the caller's cross-node
-			// completion count and runs at the commit slot.
 			waiting--
 			if waiting == 0 {
-				at := ctx.Now()
-				ctx.Defer(func() { done(at) })
+				done(m.Sim.Now())
 			}
 		})
 		src.Write(dst, ctr, shareAddr(ar.cfg.Values), ar.cfg.Bytes, ar.partial[n]...)

@@ -68,7 +68,6 @@ func (b *ButterflyAllReduce) Result(n topo.NodeID) []float64 { return b.partial[
 
 func (b *ButterflyAllReduce) stage(n topo.NodeID, d topo.Dim, k int, done func(sim.Time)) {
 	m := b.m
-	ctx := m.Ctx(n)
 	ringN := m.Torus.Size(d)
 	logN := bits.TrailingZeros(uint(ringN))
 	if k >= logN {
@@ -76,10 +75,7 @@ func (b *ButterflyAllReduce) stage(n topo.NodeID, d topo.Dim, k int, done func(s
 			b.stage(n, d+1, 0, done)
 			return
 		}
-		// done decrements the caller's cross-node completion count: run it
-		// at the commit slot.
-		at := ctx.Now()
-		ctx.Defer(func() { done(at) })
+		done(m.Sim.Now())
 		return
 	}
 	c := m.Torus.Coord(n)
@@ -101,7 +97,7 @@ func (b *ButterflyAllReduce) stage(n topo.NodeID, d topo.Dim, k int, done func(s
 			sum[i] += vals[i]
 		}
 		cost := b.cfg.RoundOverhead + sim.Dur(2*b.cfg.Values)*b.cfg.PerValueAdd
-		ctx.After(cost, func() { b.stage(n, d, k+1, done) })
+		m.Sim.After(cost, func() { b.stage(n, d, k+1, done) })
 	})
 }
 
@@ -191,15 +187,13 @@ func (a *AccumAllReduce) round(n topo.NodeID, d topo.Dim, done func(sim.Time)) {
 		sum := m.Client(acc).Mem(addr, a.cfg.Values)
 		copy(a.partial[n], sum)
 		// Reading the result back across the ring costs another round trip.
-		ctx := m.Ctx(n)
 		cost := a.cfg.RoundOverhead + a.m.Model.AccumPoll
-		ctx.After(cost, func() {
+		m.Sim.After(cost, func() {
 			if d < topo.Z {
 				a.round(n, d+1, done)
 				return
 			}
-			at := ctx.Now()
-			ctx.Defer(func() { done(at) })
+			done(m.Sim.Now())
 		})
 	})
 }

@@ -211,27 +211,18 @@ type Injector struct {
 	// units, kept integral so fault arithmetic never touches floats.
 	slowPermille int64
 
-	// ctr is the per-stream draw index; advancing it in event order is
-	// what makes replays bit-identical.
+	// ctr is the per-stream draw index of the cluster drop streams and
+	// links holds the link streams' indices and tallies, indexed by
+	// linkSite(node, port) and grown on first use. Advancing the indices
+	// in event order is what makes replays bit-identical.
 	ctr   map[uint64]uint64
-	stats Stats
-
-	// pinned holds per-link-site draw indices and tallies, indexed by
-	// linkSite(node, port), allocated by PinLinks. A pinned site's state is
-	// touched only by its own node's events — which all belong to one PDES
-	// domain — so the stage-2 window executor can draw link faults from
-	// worker goroutines without sharing: each site is single-writer, draw
-	// order per site equals the canonical order (within-domain execution
-	// order is canonical), and the machine-wide totals are derived by
-	// summation in Stats. The map-based path remains for unpinned sites
-	// (direct unit tests, the cluster's rank streams).
-	pinned []linkSiteState
+	links []linkSiteState
+	drops uint64
 }
 
-// linkSiteState is one directed link's pinned fault stream state.
+// linkSiteState is one directed link's fault stream state.
 type linkSiteState struct {
 	link             Link
-	used             bool
 	corruptN, stallN uint64
 	counts           LinkCounts
 }
@@ -250,7 +241,6 @@ func NewInjector(p Plan) *Injector {
 		in.slowT = threshold53(p.SlowRate)
 		in.slowPermille = int64((p.SlowFactor-1)*1000 + 0.5)
 	}
-	in.stats.Links = make(map[Link]LinkCounts)
 	return in
 }
 
@@ -276,58 +266,30 @@ func (in *Injector) Plan() Plan {
 	return in.plan
 }
 
-// PinLinks pre-pins the fault streams of every directed link of a
-// nodes-node machine (six ports per node), so link draws need no shared
-// map and are safe from stage-2 worker goroutines. Nil-receiver safe;
-// repinning with a smaller machine keeps the larger allocation.
-func (in *Injector) PinLinks(nodes int) {
-	if in == nil || nodes*6 <= len(in.pinned) {
-		return
-	}
-	grown := make([]linkSiteState, nodes*6)
-	copy(grown, in.pinned)
-	in.pinned = grown
-}
-
-// site returns the pinned state for link l, or nil when unpinned.
+// site returns the stream state of link l, growing the table on first use.
 func (in *Injector) site(l Link) *linkSiteState {
-	s := linkSite(l.Node, l.Port)
-	if s >= uint64(len(in.pinned)) {
-		return nil
+	s := int(linkSite(l.Node, l.Port))
+	if s >= len(in.links) {
+		in.links = append(in.links, make([]linkSiteState, s+1-len(in.links))...)
 	}
-	ps := &in.pinned[s]
-	if !ps.used {
-		ps.used = true
-		ps.link = l
-	}
+	ps := &in.links[s]
+	ps.link = l
 	return ps
 }
 
-// Stats returns a snapshot of the fault tallies: the serial (map-based)
-// tallies plus every pinned link site, with machine-wide totals derived
-// by summation so they are identical at any worker count.
+// Stats returns a snapshot of the fault tallies. The per-link map holds
+// every link that saw a fault, and the link totals are its sums.
 func (in *Injector) Stats() Stats {
 	if in == nil {
 		return Stats{}
 	}
-	st := in.stats
-	st.Links = make(map[Link]LinkCounts, len(in.stats.Links))
-	for l, c := range in.stats.Links {
-		st.Links[l] = c
-	}
-	for i := range in.pinned {
-		ps := &in.pinned[i]
-		if !ps.used {
+	st := Stats{Drops: in.drops, Links: make(map[Link]LinkCounts)}
+	for i := range in.links {
+		ps := &in.links[i]
+		if ps.counts == (LinkCounts{}) {
 			continue
 		}
-		c := st.Links[ps.link]
-		c.Corrupts += ps.counts.Corrupts
-		c.Stalls += ps.counts.Stalls
-		c.DownWaits += ps.counts.DownWaits
-		if c == (LinkCounts{}) {
-			continue
-		}
-		st.Links[ps.link] = c
+		st.Links[ps.link] = ps.counts
 		st.Corrupts += ps.counts.Corrupts
 		st.Stalls += ps.counts.Stalls
 		st.DownWaits += ps.counts.DownWaits
@@ -380,7 +342,7 @@ func (in *Injector) bern(kind, site, threshold uint64) bool {
 
 // bernAt draws the Bernoulli decision at draw index *n on stream
 // (kind, site) and advances the index. Identical to bern for the same
-// index sequence; the caller owns the index storage (a pinned site).
+// index sequence; the caller owns the index storage (a link site).
 func (in *Injector) bernAt(kind, site uint64, n *uint64, threshold uint64) bool {
 	key := streamKey(kind, site)
 	v := *n
@@ -415,70 +377,32 @@ func (in *Injector) LinkExtra(node int, port topo.Port, service sim.Dur, start s
 		return 0
 	}
 	l := Link{Node: node, Port: port}
-	if ps := in.site(l); ps != nil {
-		// Pinned path: single-writer per site, stage-2 safe.
-		var extra sim.Dur
-		if (in.stallT > 0 || in.corruptT > 0) && in.linkEligible(l) {
-			site := linkSite(node, port)
-			if in.stallT > 0 && in.bernAt(streamStall, site, &ps.stallN, in.stallT) {
-				extra += in.plan.StallDur
-				ps.counts.Stalls++
-			}
-			if in.corruptT > 0 {
-				retries := uint64(0)
-				for retries < maxRetries && in.bernAt(streamCorrupt, site, &ps.corruptN, in.corruptT) {
-					retries++
-				}
-				if retries > 0 {
-					extra += sim.Dur(retries) * (in.plan.RetryLatency + service)
-					ps.counts.Corrupts += retries
-				}
-			}
-		}
-		for _, w := range in.plan.Down {
-			if w.Link == l && start >= w.From && start < w.Until {
-				// The transfer fails until the link recovers; the
-				// retransmission after recovery pays one retry turnaround.
-				extra += w.Until.Sub(start) + in.plan.RetryLatency
-				ps.counts.DownWaits++
-			}
-		}
-		return extra
-	}
+	ps := in.site(l)
 	var extra sim.Dur
-	c := in.stats.Links[l]
-	touched := false
 	if (in.stallT > 0 || in.corruptT > 0) && in.linkEligible(l) {
 		site := linkSite(node, port)
-		if in.stallT > 0 && in.bern(streamStall, site, in.stallT) {
+		if in.stallT > 0 && in.bernAt(streamStall, site, &ps.stallN, in.stallT) {
 			extra += in.plan.StallDur
-			in.stats.Stalls++
-			c.Stalls++
-			touched = true
+			ps.counts.Stalls++
 		}
 		if in.corruptT > 0 {
 			retries := uint64(0)
-			for retries < maxRetries && in.bern(streamCorrupt, site, in.corruptT) {
+			for retries < maxRetries && in.bernAt(streamCorrupt, site, &ps.corruptN, in.corruptT) {
 				retries++
 			}
 			if retries > 0 {
 				extra += sim.Dur(retries) * (in.plan.RetryLatency + service)
-				in.stats.Corrupts += retries
-				c.Corrupts += retries
-				touched = true
+				ps.counts.Corrupts += retries
 			}
 		}
 	}
 	for _, w := range in.plan.Down {
 		if w.Link == l && start >= w.From && start < w.Until {
+			// The transfer fails until the link recovers; the
+			// retransmission after recovery pays one retry turnaround.
 			extra += w.Until.Sub(start) + in.plan.RetryLatency
-			in.stats.DownWaits++
-			c.DownWaits++
-			touched = true
+			ps.counts.DownWaits++
 		}
-	}
-	if touched {
-		in.stats.Links[l] = c
 	}
 	return extra
 }
@@ -513,7 +437,7 @@ func (in *Injector) Drop(rank, attempt int) bool {
 	if !in.bern(streamDrop, uint64(rank), in.dropT) {
 		return false
 	}
-	in.stats.Drops++
+	in.drops++
 	return true
 }
 

@@ -32,6 +32,11 @@ func TestZeroPlanIsInert(t *testing.T) {
 	if len(in.ctr) != 0 {
 		t.Fatalf("zero plan consumed %d draw streams", len(in.ctr))
 	}
+	for _, ps := range in.links {
+		if ps.corruptN != 0 || ps.stallN != 0 {
+			t.Fatalf("zero plan drew on link %v", ps.link)
+		}
+	}
 }
 
 // A nil injector (no plan attached at all) behaves identically.

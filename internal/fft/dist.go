@@ -151,7 +151,6 @@ func (d *Dist) Convolve(in, green *Grid, done func(out *Grid, at sim.Time)) {
 // the stage's computation, and emits the next redistribution.
 func (d *Dist) runStage(id topo.NodeID, c topo.Coord, stage int, green *Grid, finish func()) {
 	cl := d.client(id)
-	ctx := d.m.Ctx(id)
 	ctr := d.CtrBase + packet.CounterID(stage)
 	var expected uint64
 	if stage == stBox {
@@ -161,9 +160,7 @@ func (d *Dist) runStage(id topo.NodeID, c topo.Coord, stage int, green *Grid, fi
 	}
 	cl.Wait(ctr, d.gen*expected, func() {
 		if stage == stBox {
-			// finish decrements the cross-node completion count and, on the
-			// last node, gathers every node's box memory: coordinator work.
-			ctx.Defer(finish)
+			finish()
 			return
 		}
 		cost := sim.Dur(d.lpn*d.N) * d.PerPoint
@@ -171,7 +168,7 @@ func (d *Dist) runStage(id topo.NodeID, c topo.Coord, stage int, green *Grid, fi
 			// FFT z, green multiply, and IFFT z all happen locally.
 			cost *= 2
 		}
-		ctx.After(cost, func() {
+		d.m.Sim.After(cost, func() {
 			d.compute(id, c, stage, green)
 			d.emit(id, c, stage)
 			d.runStage(id, c, nextStage(stage), green, finish)

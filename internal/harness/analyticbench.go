@@ -15,7 +15,7 @@ import (
 // are shared by the benchgate command, which records them in
 // BENCH_analytic.json and gates the speedup floor.
 //
-// Like the PDES gate workloads, the DES side builds its simulator
+// Like the kernel gate workloads, the DES side builds its simulator
 // directly from sim.New (bare kernel, no fault injector or recorder),
 // and every checksum is a pure function of the model — identical on
 // every host — so the gate pins it exactly: the committed artifact is a

@@ -10,7 +10,6 @@ import (
 	"anton/internal/mdmap"
 	"anton/internal/noc"
 	"anton/internal/packet"
-	"anton/internal/par"
 	"anton/internal/sim"
 	"anton/internal/topo"
 )
@@ -44,10 +43,9 @@ func SweepFaultPlan(rate float64) fault.Plan {
 // faultSim builds a fresh simulator with plan attached. The sweep sets
 // its plans explicitly rather than through the session fault plan, so a
 // -faults flag (or a request plan) does not double-inject here; only the
-// session worker count carries over.
+// session's abort hook carries over.
 func faultSim(sess *Session, p fault.Plan) *sim.Sim {
 	s := sim.New()
-	s.SetWorkers(par.Workers(sess.Workers))
 	sess.armAbort(s)
 	fault.Attach(s, p)
 	return s

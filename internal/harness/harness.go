@@ -5,8 +5,8 @@
 // benchmarks share one implementation.
 //
 // Experiments run inside a Session, which carries everything that may
-// perturb simulator construction or report content: the sweep/PDES
-// worker count, the fidelity tier, the fault plan, and the metrics
+// perturb simulator construction or report content: the sweep goroutine
+// budget, the fidelity tier, the fault plan, and the metrics
 // toggle. Sessions are isolated — two sessions with different fault
 // plans can run concurrently on the same process — which is what lets
 // the serving tier execute many sim sessions at once. The package-level
@@ -82,13 +82,12 @@ func register(e Experiment) { registry[e.ID] = e }
 // between them, which is the isolation contract the serving tier's
 // concurrent sim sessions rely on.
 type Session struct {
-	// Workers is the goroutine budget: 1 (and 0 by convention in the
-	// package-level default) runs everything on the calling goroutine, a
-	// negative value or 0 passed through par.Workers resolves to
-	// GOMAXPROCS. It feeds two layers: experiment sweeps run their
-	// independent simulator instances on a pool of this size, and every
-	// simulator the session builds passes it to the PDES kernel
-	// (sim.SetWorkers). Reports are byte-identical at any setting.
+	// Workers is the sweep goroutine budget: 1 (and 0 by convention in
+	// the package-level default) runs everything on the calling
+	// goroutine, a negative value or 0 passed through par.Workers
+	// resolves to GOMAXPROCS. Experiment sweeps run their independent
+	// simulator instances on a pool of this size; each simulator runs on
+	// one goroutine. Reports are byte-identical at any setting.
 	Workers int
 	// Fidelity selects the simulation tier (FidelityDES when empty).
 	Fidelity string
@@ -108,8 +107,8 @@ type Session struct {
 	// Ctx, when non-nil, cooperatively cancels the run: the generic
 	// sweep() consults it between sweep points (a cancelled session skips
 	// every remaining sweep unit), and every simulator the session builds
-	// installs an abort hook polled at PDES window boundaries and
-	// sequential event-batch boundaries (sim.SetAbort). Cancellation never
+	// installs an abort hook polled at event-batch boundaries
+	// (sim.SetAbort). Cancellation never
 	// produces partial committed state inside a simulator — the kernel
 	// stops only between fully committed events — but a cancelled run's
 	// report is a truncated artifact and must be discarded, never cached
@@ -138,14 +137,13 @@ func (s *Session) fidelity() string {
 	return s.Fidelity
 }
 
-// NewSim returns a fresh simulator configured by the session: the PDES
-// kernel worker count, the fault plan (if any), and, when enabled, a
-// metrics recorder. Every experiment builds its simulators through
-// this, which is how one request's fault plan perturbs exactly that
-// request's evaluation and nothing else.
+// NewSim returns a fresh simulator configured by the session: the abort
+// hook, the fault plan (if any), and, when enabled, a metrics recorder.
+// Every experiment builds its simulators through this, which is how one
+// request's fault plan perturbs exactly that request's evaluation and
+// nothing else.
 func (s *Session) NewSim() *sim.Sim {
 	sm := sim.New()
-	sm.SetWorkers(par.Workers(s.Workers))
 	s.armAbort(sm)
 	if s.Faults != nil {
 		fault.Attach(sm, *s.Faults)
@@ -161,7 +159,7 @@ func (s *Session) NewSim() *sim.Sim {
 // run builds must pass through here — NewSim does, and so does the
 // fault-sweep experiments' custom-plan faultSim — otherwise a
 // cancellation stalls until the next sweep point instead of stopping
-// at the next event batch or PDES window.
+// at the next event batch.
 func (s *Session) armAbort(sm *sim.Sim) {
 	if s.Ctx == nil {
 		return

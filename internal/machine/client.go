@@ -23,16 +23,15 @@ type Client struct {
 }
 
 func newClient(m *Machine, addr packet.Client) *Client {
-	dom := m.domain(addr.Node)
 	c := &Client{
 		Addr:     addr,
 		m:        m,
 		counters: make(map[packet.CounterID]*sim.Counter),
-		send:     sim.NewResource(m.Sim).InDomain(dom),
-		recv:     sim.NewResource(m.Sim).InDomain(dom),
+		send:     sim.NewResource(m.Sim),
+		recv:     sim.NewResource(m.Sim),
 	}
 	if addr.Kind.IsSlice() {
-		c.fifo = newFIFO(m, c)
+		c.fifo = &FIFO{m: m}
 	}
 	return c
 }
@@ -97,10 +96,7 @@ func (c *Client) counter(ctr packet.CounterID) *sim.Counter {
 	}
 	cnt, ok := c.counters[ctr]
 	if !ok {
-		// Counters are domain-confined state: their wake events are pinned
-		// to the owning node's domain so the stage-2 executor can run Inc
-		// and Wait from the domain's worker goroutine.
-		cnt = sim.NewCounter(c.m.Sim).InDomain(c.m.domain(c.Addr.Node))
+		cnt = sim.NewCounter(c.m.Sim)
 		c.counters[ctr] = cnt
 	}
 	return cnt
@@ -131,12 +127,10 @@ func (c *Client) armed(ctr packet.CounterID, target uint64, fn func()) func() {
 	if rec == nil {
 		return fn
 	}
-	ctx := c.m.Ctx(c.Addr.Node)
-	at := ctx.Now()
-	ctx.Defer(func() { rec.CountArm(c.Addr, ctr, target, at) })
+	s := c.m.Sim
+	rec.CountArm(c.Addr, ctr, target, s.Now())
 	return func() {
-		fire := ctx.Now()
-		ctx.Defer(func() { rec.CountFire(c.Addr, ctr, target, fire) })
+		rec.CountFire(c.Addr, ctr, target, s.Now())
 		fn()
 	}
 }
@@ -189,16 +183,11 @@ func (c *Client) storeAccumulate(pkt *packet.Packet) {
 // is responsible for polling and processing messages to avoid deadlock.
 type FIFO struct {
 	m       *Machine
-	owner   *Client
 	queue   []*packet.Packet
 	blocked []*packet.Packet
 	waiter  func(*packet.Packet)
 	// delivered counts total messages accepted into the FIFO.
 	delivered uint64
-}
-
-func newFIFO(m *Machine, owner *Client) *FIFO {
-	return &FIFO{m: m, owner: owner}
 }
 
 // Len returns the number of messages queued and not yet popped.
@@ -223,22 +212,18 @@ func (f *FIFO) Pop(fn func(*packet.Packet)) {
 		pkt := f.queue[0]
 		f.queue = f.queue[1:]
 		f.admitBlocked()
-		f.ctx().After(f.m.Model.FIFOPoll, func() { fn(pkt) })
+		f.m.Sim.After(f.m.Model.FIFOPoll, func() { fn(pkt) })
 		return
 	}
 	f.waiter = fn
 }
-
-// ctx returns the owning slice's domain context: FIFO state is
-// domain-confined, and its poll wake-ups stay in the owner's domain.
-func (f *FIFO) ctx() sim.Ctx { return f.m.Ctx(f.owner.Addr.Node) }
 
 func (f *FIFO) deliver(pkt *packet.Packet) {
 	f.delivered++
 	if f.waiter != nil {
 		fn := f.waiter
 		f.waiter = nil
-		f.ctx().After(f.m.Model.FIFOPoll, func() { fn(pkt) })
+		f.m.Sim.After(f.m.Model.FIFOPoll, func() { fn(pkt) })
 		return
 	}
 	if len(f.queue) >= f.m.Model.FIFOCapacity {

@@ -35,17 +35,12 @@ type Machine struct {
 	// ordIssue and ordDst implement the software-controlled header flag
 	// that selectively guarantees in-order delivery between fixed
 	// source-destination pairs: flagged packets commit strictly in send
-	// order per pair, whatever their sizes or routes. The ledger is
-	// sharded by spatial domain so stage-2 window execution keeps it
-	// single-writer: tickets are drawn from the source node's domain
-	// shard at send time (program order) and carried inside the packet,
-	// and the per-pair commit ledgers live in the destination node's
-	// domain shard.
-	ordIssue []map[pairKey]uint64
-	ordDst   []map[pairKey]*ordDst
-	// sendSeq is the canonical global send sequence. It is canonical
-	// state: assignments happen in deferred actions (sim.Ctx.Defer), so
-	// they run serially at the merge point in canonical event order.
+	// order per pair, whatever their sizes or routes. Tickets are drawn
+	// per pair at send time (program order) and carried inside the
+	// packet; ordDst holds each pair's destination-side commit ledger.
+	ordIssue map[pairKey]uint64
+	ordDst   map[pairKey]*ordDst
+	// sendSeq numbers sends in the order their injections begin.
 	sendSeq uint64
 
 	// OnDeliver, if non-nil, is invoked at the simulated instant a packet
@@ -81,19 +76,8 @@ type Machine struct {
 	deficit  map[recKey]*recState
 	rec      RecoveryStats
 
-	// ndom is the PDES spatial decomposition: contiguous node-ID slabs,
-	// one event queue per slab, windowed on the minimum link-adapter
-	// latency (see sim.Partition). Depends only on the torus, never on
-	// the worker count.
-	ndom int
-
 	stats Stats
 }
-
-// maxDomains caps the spatial decomposition so the per-window merge stays
-// shallow on the flagship 512-node machine while each domain still holds a
-// node slab large enough to batch meaningfully.
-const maxDomains = 64
 
 type pairKey struct {
 	src, dst packet.Client
@@ -115,15 +99,12 @@ type ordPending struct {
 	fn    func()
 }
 
-// ticket draws the next in-order ticket for (pkt.Src, dst) from the source
-// node's domain shard. Tickets are issued at send-call time, so per-pair
-// program order is preserved; issuing from worker context is deterministic
-// because within-domain execution order equals the canonical order.
+// ticket draws the next in-order ticket for (pkt.Src, dst). Tickets are
+// issued at send-call time, so per-pair program order is preserved.
 func (m *Machine) ticket(pkt *packet.Packet, dst packet.Client) uint64 {
-	shard := m.ordIssue[m.domain(pkt.Src.Node)]
 	key := pairKey{pkt.Src, dst}
-	t := shard[key]
-	shard[key] = t + 1
+	t := m.ordIssue[key]
+	m.ordIssue[key] = t + 1
 	return t
 }
 
@@ -141,15 +122,13 @@ func ticketOf(pkt *packet.Packet, dst packet.Client) uint64 {
 }
 
 // commitInOrder schedules fn no earlier than avail and no earlier than
-// every previously sent in-order packet's commit on the same pair. ctx is
-// the destination domain's context — the caller is executing in it.
-func (m *Machine) commitInOrder(ctx sim.Ctx, pkt *packet.Packet, dst packet.Client, avail sim.Time, fn func()) {
-	shard := m.ordDst[m.domain(dst.Node)]
+// every previously sent in-order packet's commit on the same pair.
+func (m *Machine) commitInOrder(pkt *packet.Packet, dst packet.Client, avail sim.Time, fn func()) {
 	key := pairKey{pkt.Src, dst}
-	st, ok := shard[key]
+	st, ok := m.ordDst[key]
 	if !ok {
 		st = &ordDst{pending: make(map[uint64]ordPending)}
-		shard[key] = st
+		m.ordDst[key] = st
 	}
 	st.pending[ticketOf(pkt, dst)] = ordPending{avail: avail, fn: fn}
 	for {
@@ -163,11 +142,11 @@ func (m *Machine) commitInOrder(ctx sim.Ctx, pkt *packet.Packet, dst packet.Clie
 		if at < st.lastAt {
 			at = st.lastAt
 		}
-		if now := ctx.Now(); at < now {
+		if now := m.Sim.Now(); at < now {
 			at = now
 		}
 		st.lastAt = at
-		ctx.At(at, p.fn)
+		m.Sim.At(at, p.fn)
 	}
 }
 
@@ -187,27 +166,15 @@ type Node struct {
 // model.
 func New(s *sim.Sim, t topo.Torus, model noc.Model) *Machine {
 	m := &Machine{
-		Sim:     s,
-		Torus:   t,
-		Model:   model,
-		faults:  fault.FromSim(s),
-		metrics: metrics.FromSim(s),
+		Sim:      s,
+		Torus:    t,
+		Model:    model,
+		faults:   fault.FromSim(s),
+		metrics:  metrics.FromSim(s),
+		ordIssue: make(map[pairKey]uint64),
+		ordDst:   make(map[pairKey]*ordDst),
 	}
-	m.ndom = t.Nodes()
-	if m.ndom > maxDomains {
-		m.ndom = maxDomains
-	}
-	s.Partition(m.ndom, model.Lookahead())
-	m.ordIssue = make([]map[pairKey]uint64, m.ndom)
-	m.ordDst = make([]map[pairKey]*ordDst, m.ndom)
-	for d := 0; d < m.ndom; d++ {
-		m.ordIssue[d] = make(map[pairKey]uint64)
-		m.ordDst[d] = make(map[pairKey]*ordDst)
-	}
-	// Pre-size the per-node statistics and pin the fault injector's link
-	// streams, so neither ever grows shared storage from worker context.
 	m.stats.perNode = make([]nodeStats, t.Nodes())
-	m.faults.PinLinks(t.Nodes())
 	m.nodes = make([]*Node, t.Nodes())
 	for id := range m.nodes {
 		n := &Node{
@@ -216,9 +183,8 @@ func New(s *sim.Sim, t topo.Torus, model noc.Model) *Machine {
 			m:     m,
 			mc:    packet.NewMcTable(),
 		}
-		dom := m.domain(n.ID)
 		for p := range n.links {
-			n.links[p] = sim.NewResource(s).InDomain(dom)
+			n.links[p] = sim.NewResource(s)
 		}
 		for k := packet.ClientKind(0); k < packet.NumClients; k++ {
 			n.clients[k] = newClient(m, packet.Client{Node: n.ID, Kind: k})
@@ -238,26 +204,6 @@ func Default512(s *sim.Sim) *Machine {
 	return New(s, topo.NewTorus(8, 8, 8), noc.DefaultModel())
 }
 
-// domain maps a node to its PDES spatial domain: contiguous ID slabs,
-// which under the z-major torus numbering are spatial slabs, so a one-hop
-// neighbour is in the same or an adjacent domain.
-func (m *Machine) domain(n topo.NodeID) int {
-	return int(n) * m.ndom / len(m.nodes)
-}
-
-// Ctx returns the scheduling context of node n's spatial domain. The
-// model layers built on the machine (mdmap, collective, fft) use it to
-// keep their event chains domain-confined under the stage-2 executor;
-// see sim.Ctx for the confinement contract.
-func (m *Machine) Ctx(n topo.NodeID) sim.Ctx { return m.Sim.Ctx(m.domain(n)) }
-
-// Defer runs fn at the calling event's canonical commit slot from node
-// n's domain (sim.Ctx.Defer): immediately under the sequential executor,
-// at the window merge point — serially, in canonical order — under the
-// stage-2 executor. Cross-node and machine-global effects of confined
-// handlers go through it.
-func (m *Machine) Defer(n topo.NodeID, fn func()) { m.Ctx(n).Defer(fn) }
-
 // Node returns the node with the given ID.
 func (m *Machine) Node(id topo.NodeID) *Node { return m.nodes[id] }
 
@@ -270,9 +216,7 @@ func (m *Machine) Client(c packet.Client) *Client {
 }
 
 // Stats returns a snapshot of the machine's traffic statistics. Counts
-// are kept per node (single-writer under the stage-2 executor) and the
-// machine-wide totals are derived by summation, so a snapshot taken at
-// quiescence is identical at any worker count.
+// are kept per node and the machine-wide totals are derived by summation.
 func (m *Machine) Stats() Stats {
 	st := Stats{perNode: append([]nodeStats(nil), m.stats.perNode...)}
 	for i := range st.perNode {
@@ -293,14 +237,9 @@ func (m *Machine) Metrics() *metrics.Recorder { return m.metrics }
 
 // nextStart predicts the service-start time Resource.Acquire will use
 // for the next acquisition of r: the fault layer needs it to decide
-// whether a traversal falls inside a scheduled link outage. now is the
-// calling handler's (domain) clock.
-func nextStart(now sim.Time, r *sim.Resource) sim.Time {
-	start := r.FreeAt()
-	if start < now {
-		start = now
-	}
-	return start
+// whether a traversal falls inside a scheduled link outage.
+func (m *Machine) nextStart(r *sim.Resource) sim.Time {
+	return max(r.FreeAt(), m.Sim.Now())
 }
 
 // ResetStats zeroes the traffic statistics (link busy-time accumulators in
@@ -320,9 +259,7 @@ func (m *Machine) LinkBusy(n topo.NodeID, p topo.Port) sim.Dur {
 	return m.nodes[n].links[topo.PortIndex(p)].BusyTime()
 }
 
-// send is the injection path shared by the Client send helpers. The
-// caller must be executing in the source node's domain (or in
-// coordinator/serial context), per the confinement contract.
+// send is the injection path shared by the Client send helpers.
 func (m *Machine) send(src *Client, pkt *packet.Packet) {
 	if err := pkt.Validate(); err != nil {
 		panic(fmt.Sprintf("machine: %v", err))
@@ -348,7 +285,6 @@ func (m *Machine) send(src *Client, pkt *packet.Packet) {
 	// Clock-skewed (slow) nodes pay proportionally more to assemble and
 	// inject a packet.
 	lat += m.faults.NodeSlowExtra(int(src.Addr.Node), lat)
-	ctx := m.Ctx(src.Addr.Node)
 	src.send.Acquire(gap, func(start sim.Time) {
 		if m.hard && m.nodeDeadNow(src.Addr.Node) {
 			// A dead node's software halts: nothing reaches the wire, and
@@ -357,30 +293,24 @@ func (m *Machine) send(src *Client, pkt *packet.Packet) {
 			m.loseSend(pkt, src.Addr)
 			return
 		}
-		// The canonical send sequence is assigned at the event's commit
-		// slot, as its first deferred action, so every later deferred
-		// reader of pkt.Seq (metrics, hooks, fan-out copies) observes the
-		// canonical number whatever the worker count.
-		ctx.Defer(func() {
-			m.sendSeq++
-			pkt.Seq = m.sendSeq
-			if m.OnSend != nil {
-				m.OnSend(pkt, start)
-			}
-		})
+		m.sendSeq++
+		pkt.Seq = m.sendSeq
+		if m.OnSend != nil {
+			m.OnSend(pkt, start)
+		}
 		m.stats.send(src.Addr.Node, pkt.WireBytes())
 		inject := start.Add(lat)
 		if m.metrics != nil {
-			ctx.Defer(func() { m.metrics.PacketSend(pkt.Seq, src.Addr, start, inject) })
+			m.metrics.PacketSend(pkt.Seq, src.Addr, start, inject)
 		}
 		node := m.nodes[src.Addr.Node]
 		if pkt.Multicast != packet.NoMulticast {
-			m.multicastAt(ctx, pkt, node, inject, true)
+			m.multicastAt(pkt, node, inject, true)
 			return
 		}
 		if pkt.Dst.Node == src.Addr.Node {
 			// Node-local delivery travels the on-chip ring only.
-			m.deliverLocal(ctx, pkt, node.clients[pkt.Dst.Kind], inject.Add(model.LocalRing))
+			m.deliverLocal(pkt, node.clients[pkt.Dst.Kind], inject.Add(model.LocalRing))
 			return
 		}
 		if m.hard {
@@ -388,54 +318,45 @@ func (m *Machine) send(src *Client, pkt *packet.Packet) {
 			return
 		}
 		route := m.Torus.Route(node.Coord, m.Torus.Coord(pkt.Dst.Node))
-		m.forward(ctx, pkt, node, route, 0, inject.Add(model.SrcRing))
+		m.forward(pkt, node, route, 0, inject.Add(model.SrcRing))
 	})
 }
 
 // forward transmits pkt across route[step:]; head is the time the packet
 // header reaches the egress side of node's on-chip network for this hop.
-// ctx is the calling handler's executing domain context — the hop itself
-// may belong to a different (neighbouring) domain.
-func (m *Machine) forward(ctx sim.Ctx, pkt *packet.Packet, node *Node, route []topo.Step, step int, head sim.Time) {
+func (m *Machine) forward(pkt *packet.Packet, node *Node, route []topo.Step, step int, head sim.Time) {
 	model := &m.Model
 	hop := route[step]
 	link := node.links[topo.PortIndex(hop.Port)]
-	hctx := m.Ctx(node.ID)
-	// The hop's events belong to the egress node's domain; scheduling it
-	// from the previous node's arrival event is the cross-domain hand-off
-	// the link-adapter lookahead makes window-safe.
-	ctx.AtDomain(m.domain(node.ID), head, func() {
+	m.Sim.At(head, func() {
 		service := model.LinkService(pkt.WireBytes())
 		// Fault layer: CRC-detected flit corruption repaired by
 		// link-level retransmission, transient stalls, and scheduled
 		// outages all extend both the link occupancy and the arrival.
-		extra := m.faults.LinkExtra(int(node.ID), hop.Port, service, nextStart(hctx.Now(), link))
+		extra := m.faults.LinkExtra(int(node.ID), hop.Port, service, m.nextStart(link))
 		if m.metrics != nil {
-			now := hctx.Now()
-			hctx.Defer(func() { m.metrics.HopDepart(pkt.Seq, node.ID, hop.Port, now) })
+			m.metrics.HopDepart(pkt.Seq, node.ID, hop.Port, m.Sim.Now())
 		}
 		link.Acquire(service+extra, func(start sim.Time) {
 			if m.OnLink != nil {
-				hctx.Defer(func() { m.OnLink(node.ID, hop.Port, start, service+extra) })
+				m.OnLink(node.ID, hop.Port, start, service+extra)
 			}
 			if m.metrics != nil {
-				hctx.Defer(func() {
-					m.metrics.LinkTransfer(pkt.Seq, node.ID, hop.Port, start, service+extra,
-						pkt.WireBytes(), start.Sub(head))
-				})
+				m.metrics.LinkTransfer(pkt.Seq, node.ID, hop.Port, start, service+extra,
+					pkt.WireBytes(), start.Sub(head))
 			}
 			arrival := start.Add(extra).Add(model.AdapterPair[hop.Port.Dim])
 			next := m.nodes[m.Torus.ID(hop.To)]
 			if m.metrics != nil {
-				hctx.Defer(func() { m.metrics.HopArrive(pkt.Seq, next.ID, arrival) })
+				m.metrics.HopArrive(pkt.Seq, next.ID, arrival)
 			}
 			if step == len(route)-1 {
 				avail := arrival.Add(model.ExtraSerialization(pkt.WireBytes()) + model.DstRing)
-				m.deliverLocal(hctx, pkt, next.clients[pkt.Dst.Kind], avail)
+				m.deliverLocal(pkt, next.clients[pkt.Dst.Kind], avail)
 				return
 			}
 			nextDim := route[step+1].Port.Dim
-			m.forward(hctx, pkt, next, route, step+1, arrival.Add(model.Through[nextDim]))
+			m.forward(pkt, next, route, step+1, arrival.Add(model.Through[nextDim]))
 		})
 	})
 }
@@ -444,7 +365,7 @@ func (m *Machine) forward(ctx sim.Ctx, pkt *packet.Packet, node *Node, route []t
 // packet out to local clients and outgoing links. atSource distinguishes
 // the injecting node (ring traversal from the sending client) from transit
 // nodes (ring traversal from the arriving link adapter).
-func (m *Machine) multicastAt(ctx sim.Ctx, pkt *packet.Packet, node *Node, base sim.Time, atSource bool) {
+func (m *Machine) multicastAt(pkt *packet.Packet, node *Node, base sim.Time, atSource bool) {
 	model := &m.Model
 	if m.hard && m.nodeDeadNow(node.ID) {
 		// The fan-out node died under the packet: the whole remaining
@@ -464,15 +385,11 @@ func (m *Machine) multicastAt(ctx sim.Ctx, pkt *packet.Packet, node *Node, base 
 			avail = base.Add(model.ExtraSerialization(pkt.WireBytes()) + model.DstRing)
 		}
 		// Each delivery is a distinct logical packet so that counters,
-		// stats and hooks see per-destination events. The copy's canonical
-		// sequence number is stamped at the commit slot: the injection's
-		// own deferred assignment replays first (parents precede children),
-		// so pkt.Seq is resolved by then.
+		// stats and hooks see per-destination events.
 		cp := new(packet.Packet)
 		*cp = *pkt
 		cp.Dst = packet.Client{Node: node.ID, Kind: kind}
-		ctx.Defer(func() { cp.Seq = pkt.Seq })
-		m.deliverLocal(ctx, cp, node.clients[kind], avail)
+		m.deliverLocal(cp, node.clients[kind], avail)
 	}
 	for _, port := range entry.Out {
 		var head sim.Time
@@ -483,8 +400,7 @@ func (m *Machine) multicastAt(ctx sim.Ctx, pkt *packet.Packet, node *Node, base 
 		}
 		port := port
 		link := node.links[topo.PortIndex(port)]
-		nctx := m.Ctx(node.ID)
-		ctx.AtDomain(m.domain(node.ID), head, func() {
+		m.Sim.At(head, func() {
 			nextID := m.Torus.ID(m.Torus.Neighbor(node.Coord, port))
 			if m.hard && (m.linkDeadNow(topo.LinkID{Node: node.ID, Port: port}) || m.nodeDeadNow(nextID)) {
 				// The branch is already known dead: fall back to unicast
@@ -495,10 +411,9 @@ func (m *Machine) multicastAt(ctx sim.Ctx, pkt *packet.Packet, node *Node, base 
 				return
 			}
 			service := model.LinkService(pkt.WireBytes())
-			extra := m.faults.LinkExtra(int(node.ID), port, service, nextStart(nctx.Now(), link))
+			extra := m.faults.LinkExtra(int(node.ID), port, service, m.nextStart(link))
 			if m.metrics != nil {
-				now := nctx.Now()
-				nctx.Defer(func() { m.metrics.HopDepart(pkt.Seq, node.ID, port, now) })
+				m.metrics.HopDepart(pkt.Seq, node.ID, port, m.Sim.Now())
 			}
 			link.Acquire(service+extra, func(start sim.Time) {
 				arrival := start.Add(extra).Add(model.AdapterPair[port.Dim])
@@ -514,16 +429,14 @@ func (m *Machine) multicastAt(ctx sim.Ctx, pkt *packet.Packet, node *Node, base 
 					}
 				}
 				if m.OnLink != nil {
-					nctx.Defer(func() { m.OnLink(node.ID, port, start, service+extra) })
+					m.OnLink(node.ID, port, start, service+extra)
 				}
 				if m.metrics != nil {
-					nctx.Defer(func() {
-						m.metrics.LinkTransfer(pkt.Seq, node.ID, port, start, service+extra,
-							pkt.WireBytes(), start.Sub(head))
-						m.metrics.HopArrive(pkt.Seq, next.ID, arrival)
-					})
+					m.metrics.LinkTransfer(pkt.Seq, node.ID, port, start, service+extra,
+						pkt.WireBytes(), start.Sub(head))
+					m.metrics.HopArrive(pkt.Seq, next.ID, arrival)
 				}
-				m.multicastAt(nctx, pkt, next, arrival, false)
+				m.multicastAt(pkt, next, arrival, false)
 			})
 		})
 	}
@@ -531,29 +444,27 @@ func (m *Machine) multicastAt(ctx sim.Ctx, pkt *packet.Packet, node *Node, base 
 
 // deliverLocal schedules the final delivery of pkt into client dst: the
 // receive-port occupancy, memory/FIFO update, counter increment, and the
-// availability instant software observes. ctx is the calling handler's
-// executing domain context; the delivery events run in dst's domain.
-func (m *Machine) deliverLocal(ctx sim.Ctx, pkt *packet.Packet, dst *Client, at sim.Time) {
+// availability instant software observes.
+func (m *Machine) deliverLocal(pkt *packet.Packet, dst *Client, at sim.Time) {
 	model := &m.Model
 	service := model.ClientService(dst.Addr.Kind, pkt.WireBytes())
-	dctx := m.Ctx(dst.Addr.Node)
-	ctx.AtDomain(m.domain(dst.Addr.Node), at, func() {
+	m.Sim.At(at, func() {
 		if m.hard && m.nodeDeadNow(dst.Addr.Node) {
 			m.losePacket(pkt, dst.Addr, lossDstDead)
 			return
 		}
 		dst.recv.Acquire(service, func(start sim.Time) {
 			if m.metrics != nil {
-				dctx.Defer(func() { m.metrics.DeliverStart(pkt.Seq, dst.Addr, start) })
+				m.metrics.DeliverStart(pkt.Seq, dst.Addr, start)
 			}
 			lat := model.DeliverLatency(dst.Addr.Kind)
 			lat += m.faults.NodeSlowExtra(int(dst.Addr.Node), lat)
 			avail := start.Add(lat)
 			if pkt.InOrder {
-				m.commitInOrder(dctx, pkt, dst.Addr, avail, func() { m.commit(pkt, dst) })
+				m.commitInOrder(pkt, dst.Addr, avail, func() { m.commit(pkt, dst) })
 				return
 			}
-			dctx.At(avail, func() { m.commit(pkt, dst) })
+			m.Sim.At(avail, func() { m.commit(pkt, dst) })
 		})
 	})
 }
@@ -605,12 +516,11 @@ func (m *Machine) commit(pkt *packet.Packet, dst *Client) {
 		dst.fifo.deliver(pkt)
 	}
 	m.stats.recv(dst.Addr.Node, pkt.WireBytes())
-	dctx := m.Ctx(dst.Addr.Node)
-	now := dctx.Now()
+	now := m.Sim.Now()
 	if m.metrics != nil {
-		dctx.Defer(func() { m.metrics.Deliver(pkt.Seq, dst.Addr, now) })
+		m.metrics.Deliver(pkt.Seq, dst.Addr, now)
 	}
 	if m.OnDeliver != nil {
-		dctx.Defer(func() { m.OnDeliver(pkt, dst.Addr, now) })
+		m.OnDeliver(pkt, dst.Addr, now)
 	}
 }

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"anton/internal/noc"
@@ -12,15 +11,11 @@ import (
 	"anton/internal/topo"
 )
 
-// Property tests for the stage-2 sharding contracts: canonical send-
-// sequence renumbering, per-node statistics merging, and the in-order
-// commit ledger. Each property is checked on the sequential kernel and
-// under the stage-2 window executor, and the parallel runs must prove
-// engagement (ExecWindows > 0) so the checks cannot pass vacuously.
+// Property tests for the machine's bookkeeping contracts: the send
+// sequence, per-node statistics merging, and the in-order commit ledger.
 
 // propSend is one send of the randomized property workload, generated
-// once so every run (any worker count, any InOrder policy) replays the
-// identical schedule.
+// once so every run (any InOrder policy) replays the identical schedule.
 type propSend struct {
 	src     topo.NodeID
 	dst     packet.Client
@@ -91,17 +86,11 @@ func propWorkload(seed int64, shape [3]int, sends int) ([]propSend, [][2]topo.No
 // machine plus the canonical send record and per-delivery commit times.
 // forceOrder overrides each send's InOrder flag: -1 leaves the mix,
 // 0 clears it, 1 sets it.
-func propRun(t *testing.T, work []propSend, pairs [][2]topo.NodeID, workers, forceOrder int, shape [3]int) (*Machine, []sentRec, map[string]sim.Time) {
+func propRun(t *testing.T, work []propSend, pairs [][2]topo.NodeID, forceOrder int, shape [3]int) (*Machine, []sentRec, map[string]sim.Time) {
 	t.Helper()
 	tor := topo.NewTorus(shape[0], shape[1], shape[2])
 	s := sim.New()
-	s.SetWorkers(workers)
-	// The workload is small relative to the default grain; force every
-	// window through the stage-2 executor so the parallel legs of the
-	// properties actually exercise it.
-	s.SetGrain(1)
 	m := New(s, tor, noc.DefaultModel())
-	s.SetConfined(true)
 
 	for pi, p := range pairs {
 		m.SetMulticast(p[0], packet.MulticastID(pi), packet.McEntry{Out: []topo.Port{{Dim: topo.X, Dir: +1}}})
@@ -133,7 +122,7 @@ func propRun(t *testing.T, work []propSend, pairs [][2]topo.NodeID, workers, for
 			inOrder = true
 		}
 		src := m.Client(packet.Client{Node: w.src, Kind: packet.Slice0})
-		m.Ctx(w.src).At(w.at, func() {
+		s.At(w.at, func() {
 			pkt := &packet.Packet{
 				Kind: w.kind, Multicast: w.mc, Counter: w.ctr,
 				Bytes: w.bytes, InOrder: inOrder, Tag: w.tag,
@@ -145,9 +134,6 @@ func propRun(t *testing.T, work []propSend, pairs [][2]topo.NodeID, workers, for
 		})
 	}
 	s.Run()
-	if workers > 1 && s.ExecWindows() == 0 {
-		t.Fatalf("workers=%d: stage-2 executor never engaged; property checks would be vacuous", workers)
-	}
 	return m, sent, commits
 }
 
@@ -162,55 +148,39 @@ type sentRec struct {
 
 const propShapeX, propShapeY, propShapeZ = 4, 4, 2
 
-// TestSeqRenumberBijection pins the canonical renumbering contract: the
-// send-sequence stream observed at the canonical merge point is exactly
-// 1..N in order (a bijection onto the dense range — no gaps, no
-// duplicates, no reordering of the stream itself), per-(src,dst)
-// in-order tickets appear in strictly increasing order (renumbering
-// preserves per-pair send order), and the whole mapping is identical at
-// any worker count.
+// TestSeqRenumberBijection pins the send-sequence contract: the stream
+// OnSend observes is exactly 1..N in order (a bijection onto the dense
+// range — no gaps, no duplicates, no reordering of the stream itself),
+// and per-(src,dst) in-order tickets appear in strictly increasing order
+// (numbering preserves per-pair send order).
 func TestSeqRenumberBijection(t *testing.T) {
 	work, pairs := propWorkload(31, [3]int{propShapeX, propShapeY, propShapeZ}, 240)
 	shape := [3]int{propShapeX, propShapeY, propShapeZ}
 
-	check := func(t *testing.T, sent []sentRec) string {
-		if len(sent) != len(work) {
-			t.Fatalf("recorded %d sends, workload has %d", len(sent), len(work))
-		}
-		var render strings.Builder
-		lastTicket := make(map[[2]packet.Client]uint64)
-		for i, r := range sent {
-			if r.seq != uint64(i+1) {
-				t.Fatalf("send record %d carries seq %d; canonical stream must be the identity 1..N", i, r.seq)
-			}
-			if r.inOrder {
-				key := [2]packet.Client{r.src, r.dst}
-				if last, ok := lastTicket[key]; ok && r.ticket <= last {
-					t.Fatalf("pair %v->%v: ticket %d after %d in canonical seq order; renumbering broke per-pair send order",
-						r.src, r.dst, r.ticket, last)
-				}
-				lastTicket[key] = r.ticket
-			}
-			fmt.Fprintf(&render, "%d %v %v %d %v\n", r.seq, r.src, r.dst, r.ticket, r.inOrder)
-		}
-		return render.String()
+	_, sent, _ := propRun(t, work, pairs, -1, shape)
+	if len(sent) != len(work) {
+		t.Fatalf("recorded %d sends, workload has %d", len(sent), len(work))
 	}
-
-	_, seqSent, _ := propRun(t, work, pairs, 1, -1, shape)
-	want := check(t, seqSent)
-	for _, workers := range []int{2, 8} {
-		_, parSent, _ := propRun(t, work, pairs, workers, -1, shape)
-		if got := check(t, parSent); got != want {
-			t.Fatalf("workers=%d: canonical send mapping differs from sequential", workers)
+	lastTicket := make(map[[2]packet.Client]uint64)
+	for i, r := range sent {
+		if r.seq != uint64(i+1) {
+			t.Fatalf("send record %d carries seq %d; the stream must be the identity 1..N", i, r.seq)
+		}
+		if r.inOrder {
+			key := [2]packet.Client{r.src, r.dst}
+			if last, ok := lastTicket[key]; ok && r.ticket <= last {
+				t.Fatalf("pair %v->%v: ticket %d after %d in seq order; numbering broke per-pair send order",
+					r.src, r.dst, r.ticket, last)
+			}
+			lastTicket[key] = r.ticket
 		}
 	}
 }
 
-// TestStatsShardMergeConservation pins the sharded-statistics contract:
-// the machine-wide totals are exactly the sum of the per-node shards
+// TestStatsShardMergeConservation pins the per-node statistics contract:
+// the machine-wide totals are exactly the sum of the per-node counts
 // (count conservation — the merge is a reduction that cannot invent or
-// drop traffic), the reduction is order-free, and every shard is
-// identical at any worker count.
+// drop traffic), and the reduction is order-free.
 func TestStatsShardMergeConservation(t *testing.T) {
 	work, pairs := propWorkload(47, [3]int{propShapeX, propShapeY, propShapeZ}, 240)
 	shape := [3]int{propShapeX, propShapeY, propShapeZ}
@@ -226,8 +196,8 @@ func TestStatsShardMergeConservation(t *testing.T) {
 		return per, st
 	}
 
-	mSeq, _, _ := propRun(t, work, pairs, 1, -1, shape)
-	wantPer, wantTot := snapshot(mSeq)
+	m, _, _ := propRun(t, work, pairs, -1, shape)
+	wantPer, wantTot := snapshot(m)
 
 	// Conservation: totals equal the shard sum, summed in either order.
 	var fwd, rev shard
@@ -247,20 +217,6 @@ func TestStatsShardMergeConservation(t *testing.T) {
 	if wantTot.Sent != uint64(len(work)) {
 		t.Fatalf("machine sent %d packets, workload issued %d", wantTot.Sent, len(work))
 	}
-
-	for _, workers := range []int{2, 8} {
-		mPar, _, _ := propRun(t, work, pairs, workers, -1, shape)
-		gotPer, gotTot := snapshot(mPar)
-		for n := 0; n < nodes; n++ {
-			if gotPer[n] != wantPer[n] {
-				t.Fatalf("workers=%d node %d shard %v != sequential %v", workers, n, gotPer[n], wantPer[n])
-			}
-		}
-		if gotTot.Sent != wantTot.Sent || gotTot.Received != wantTot.Received ||
-			gotTot.SentBytes != wantTot.SentBytes || gotTot.RecvBytes != wantTot.RecvBytes {
-			t.Fatalf("workers=%d totals %+v != sequential %+v", workers, gotTot, wantTot)
-		}
-	}
 }
 
 // TestInOrderCommitNeverEarly pins the ledger-reconciliation bound
@@ -273,51 +229,49 @@ func TestStatsShardMergeConservation(t *testing.T) {
 // the static model same-pair traffic arrives in ticket order — the
 // links and receive ports are FIFO resources — so deferral itself is
 // exercised synthetically by TestLedgerReconcileBound and, through
-// recovery reissue, by the kill-plan classes of FuzzPDESDifferential.)
+// recovery reissue, by the kill-plan classes of FuzzMachineReplay.)
 func TestInOrderCommitNeverEarly(t *testing.T) {
 	work, pairs := propWorkload(59, [3]int{propShapeX, propShapeY, propShapeZ}, 240)
 	shape := [3]int{propShapeX, propShapeY, propShapeZ}
 
-	for _, workers := range []int{1, 8} {
-		_, _, plain := propRun(t, work, pairs, workers, 0, shape)
-		_, ordSent, ordered := propRun(t, work, pairs, workers, 1, shape)
+	_, _, plain := propRun(t, work, pairs, 0, shape)
+	_, ordSent, ordered := propRun(t, work, pairs, 1, shape)
 
-		if len(plain) != len(work) || len(ordered) != len(work) {
-			t.Fatalf("workers=%d: delivered %d plain / %d ordered, want %d", workers, len(plain), len(ordered), len(work))
+	if len(plain) != len(work) || len(ordered) != len(work) {
+		t.Fatalf("delivered %d plain / %d ordered, want %d", len(plain), len(ordered), len(work))
+	}
+	for _, w := range work {
+		avail, ok := plain[w.tag]
+		if !ok {
+			t.Fatalf("packet %s missing from plain run", w.tag)
 		}
-		for _, w := range work {
-			avail, ok := plain[w.tag]
-			if !ok {
-				t.Fatalf("workers=%d: packet %s missing from plain run", workers, w.tag)
-			}
-			got, ok := ordered[w.tag]
-			if !ok {
-				t.Fatalf("workers=%d: packet %s missing from in-order run", workers, w.tag)
-			}
-			if got < avail {
-				t.Fatalf("workers=%d: packet %s committed at %v, before its availability bound %v", workers, w.tag, got, avail)
-			}
+		got, ok := ordered[w.tag]
+		if !ok {
+			t.Fatalf("packet %s missing from in-order run", w.tag)
 		}
+		if got < avail {
+			t.Fatalf("packet %s committed at %v, before its availability bound %v", w.tag, got, avail)
+		}
+	}
 
-		// Per-pair commit times nondecreasing in ticket order. The send
-		// records arrive in canonical order, which within one pair equals
-		// ticket order (pinned by TestSeqRenumberBijection), so walking
-		// them in sequence visits each pair's packets oldest-ticket first.
-		lastTicket := make(map[[2]packet.Client]uint64)
-		lastAt := make(map[[2]packet.Client]sim.Time)
-		for _, r := range ordSent {
-			key := [2]packet.Client{r.src, r.dst}
-			if last, ok := lastTicket[key]; ok && r.ticket <= last {
-				t.Fatalf("workers=%d: pair %v->%v ticket %d after %d in canonical order", workers, r.src, r.dst, r.ticket, last)
-			}
-			lastTicket[key] = r.ticket
-			at := ordered[r.tag]
-			if last, ok := lastAt[key]; ok && at < last {
-				t.Fatalf("workers=%d: pair %v->%v ticket %d committed at %v, before the pair's previous commit %v",
-					workers, r.src, r.dst, r.ticket, at, last)
-			}
-			lastAt[key] = at
+	// Per-pair commit times nondecreasing in ticket order. The send
+	// records arrive in seq order, which within one pair equals ticket
+	// order (pinned by TestSeqRenumberBijection), so walking them in
+	// sequence visits each pair's packets oldest-ticket first.
+	lastTicket := make(map[[2]packet.Client]uint64)
+	lastAt := make(map[[2]packet.Client]sim.Time)
+	for _, r := range ordSent {
+		key := [2]packet.Client{r.src, r.dst}
+		if last, ok := lastTicket[key]; ok && r.ticket <= last {
+			t.Fatalf("pair %v->%v ticket %d after %d in seq order", r.src, r.dst, r.ticket, last)
 		}
+		lastTicket[key] = r.ticket
+		at := ordered[r.tag]
+		if last, ok := lastAt[key]; ok && at < last {
+			t.Fatalf("pair %v->%v ticket %d committed at %v, before the pair's previous commit %v",
+				r.src, r.dst, r.ticket, at, last)
+		}
+		lastAt[key] = at
 	}
 }
 
@@ -326,53 +280,42 @@ func TestInOrderCommitNeverEarly(t *testing.T) {
 // — and pins the reconciliation contract: commits run in ticket order,
 // never earlier than the packet's own availability bound, never earlier
 // than the pair's previous commit, and exactly at the bound when nothing
-// blocks. The schedule is replayed at several worker counts and must
-// reconcile identically.
+// blocks.
 func TestLedgerReconcileBound(t *testing.T) {
 	type commitRec struct {
 		ticket uint64
 		at     sim.Time
 	}
-	run := func(workers int) []commitRec {
-		tor := topo.NewTorus(2, 2, 1)
-		s := sim.New()
-		s.SetWorkers(workers)
-		s.SetGrain(1)
-		m := New(s, tor, noc.DefaultModel())
-		s.SetConfined(true)
+	tor := topo.NewTorus(2, 2, 1)
+	s := sim.New()
+	m := New(s, tor, noc.DefaultModel())
 
-		src := packet.Client{Node: 0, Kind: packet.Slice0}
-		dst := packet.Client{Node: 1, Kind: packet.Slice1}
-		mk := func(ticket uint64) *packet.Packet {
-			return &packet.Packet{
-				Kind: packet.Write, Src: src, Dst: dst,
-				Multicast: packet.NoMulticast, InOrder: true, Ticket: ticket,
-			}
+	src := packet.Client{Node: 0, Kind: packet.Slice0}
+	dst := packet.Client{Node: 1, Kind: packet.Slice1}
+	mk := func(ticket uint64) *packet.Packet {
+		return &packet.Packet{
+			Kind: packet.Write, Src: src, Dst: dst,
+			Multicast: packet.NoMulticast, InOrder: true, Ticket: ticket,
 		}
-		var commits []commitRec
-		ctx := m.Ctx(1)
-		record := func(ticket uint64) func() {
-			return func() {
-				at := ctx.Now()
-				ctx.Defer(func() { commits = append(commits, commitRec{ticket, at}) })
-			}
-		}
-		// Ticket 1 arrives first (avail 110ns), ticket 2 next with an even
-		// earlier bound (105ns), ticket 0 last (avail 150ns, already past
-		// at arrival) — all must wait for ticket 0 and commit together.
-		arrive := func(at sim.Time, ticket uint64, avail sim.Time) {
-			ctx.At(at, func() { m.commitInOrder(ctx, mk(ticket), dst, avail, record(ticket)) })
-		}
-		arrive(100*sim.Time(sim.Ns), 1, 110*sim.Time(sim.Ns))
-		arrive(120*sim.Time(sim.Ns), 2, 105*sim.Time(sim.Ns))
-		arrive(200*sim.Time(sim.Ns), 0, 150*sim.Time(sim.Ns))
-		// A second burst in arrival order: each commits exactly at its own
-		// bound (the ledger adds no slack when nothing blocks).
-		arrive(300*sim.Time(sim.Ns), 3, 310*sim.Time(sim.Ns))
-		arrive(320*sim.Time(sim.Ns), 4, 340*sim.Time(sim.Ns))
-		s.Run()
-		return commits
 	}
+	var got []commitRec
+	record := func(ticket uint64) func() {
+		return func() { got = append(got, commitRec{ticket, s.Now()}) }
+	}
+	// Ticket 1 arrives first (avail 110ns), ticket 2 next with an even
+	// earlier bound (105ns), ticket 0 last (avail 150ns, already past at
+	// arrival) — all must wait for ticket 0 and commit together.
+	arrive := func(at sim.Time, ticket uint64, avail sim.Time) {
+		s.At(at, func() { m.commitInOrder(mk(ticket), dst, avail, record(ticket)) })
+	}
+	arrive(100*sim.Time(sim.Ns), 1, 110*sim.Time(sim.Ns))
+	arrive(120*sim.Time(sim.Ns), 2, 105*sim.Time(sim.Ns))
+	arrive(200*sim.Time(sim.Ns), 0, 150*sim.Time(sim.Ns))
+	// A second burst in arrival order: each commits exactly at its own
+	// bound (the ledger adds no slack when nothing blocks).
+	arrive(300*sim.Time(sim.Ns), 3, 310*sim.Time(sim.Ns))
+	arrive(320*sim.Time(sim.Ns), 4, 340*sim.Time(sim.Ns))
+	s.Run()
 
 	want := []commitRec{
 		// Tickets 0..2 unblock when 0 arrives at 200ns: every bound is in
@@ -384,21 +327,18 @@ func TestLedgerReconcileBound(t *testing.T) {
 		{3, 310 * sim.Time(sim.Ns)},
 		{4, 340 * sim.Time(sim.Ns)},
 	}
-	for _, workers := range []int{1, 2, 4} {
-		got := run(workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d commits, want %d (%v)", workers, len(got), len(want), got)
+	if len(got) != len(want) {
+		t.Fatalf("%d commits, want %d (%v)", len(got), len(want), got)
+	}
+	var lastAt sim.Time
+	for i, g := range got {
+		if g != want[i] {
+			t.Fatalf("commit %d = {ticket %d, %v}, want {ticket %d, %v}",
+				i, g.ticket, g.at, want[i].ticket, want[i].at)
 		}
-		var lastAt sim.Time
-		for i, g := range got {
-			if g != want[i] {
-				t.Fatalf("workers=%d: commit %d = {ticket %d, %v}, want {ticket %d, %v}",
-					workers, i, g.ticket, g.at, want[i].ticket, want[i].at)
-			}
-			if g.at < lastAt {
-				t.Fatalf("workers=%d: commit times regressed: %v", workers, got)
-			}
-			lastAt = g.at
+		if g.at < lastAt {
+			t.Fatalf("commit times regressed: %v", got)
 		}
+		lastAt = g.at
 	}
 }

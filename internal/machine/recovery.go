@@ -116,12 +116,6 @@ func (m *Machine) Recovery() RecoveryStats { return m.rec }
 // Plan.ValidateTopo against their primary torus.
 func (m *Machine) setupHardFaults() {
 	m.hard = true
-	// Hard-failure recovery mutates machine-global state (the deficit
-	// ledger, recovery stats, kill tables) from arbitrary handlers, so it
-	// permanently vetoes the stage-2 confined executor: windows fall back
-	// to stage 1 (parallel queue work, serial handler commit), which needs
-	// no confinement audit and reproduces the same canonical order.
-	m.Sim.SetConfined(false)
 	m.wdog = m.faults.WatchdogDeadline()
 	m.linkKill = make(map[topo.LinkID]sim.Time)
 	m.nodeKill = make(map[topo.NodeID]sim.Time)
@@ -226,7 +220,7 @@ func (m *Machine) losePacket(pkt *packet.Packet, dst packet.Client, reason lossR
 	m.rec.Lost++
 	m.metrics.PacketLost(pkt.Seq, dst, int(reason), now)
 	if pkt.InOrder {
-		m.commitInOrder(m.Ctx(dst.Node), pkt, dst, now, func() {})
+		m.commitInOrder(pkt, dst, now, func() {})
 	}
 	if pkt.Kind == packet.Message {
 		// FIFO messages carry no counter: nothing can observe the loss
@@ -308,7 +302,7 @@ func (m *Machine) mcReroute(pkt *packet.Packet, node *Node, subtree topo.NodeID,
 		}
 		m.rec.Rerouted++
 		if dst.Node == node.ID {
-			m.deliverLocal(m.Ctx(node.ID), cp, m.nodes[node.ID].clients[dst.Kind], at.Add(m.Model.LocalRing))
+			m.deliverLocal(cp, m.nodes[node.ID].clients[dst.Kind], at.Add(m.Model.LocalRing))
 			continue
 		}
 		m.forwardHard(cp, node, at, false)
@@ -320,7 +314,7 @@ func (m *Machine) mcReroute(pkt *packet.Packet, node *Node, subtree topo.NodeID,
 // network choosing an egress port; atSource selects the injection-side
 // ring latency for the first hop (matching the static path's timing).
 func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, atSource bool) {
-	m.Sim.AtDomain(m.domain(node.ID), ringAt, func() {
+	m.Sim.At(ringAt, func() {
 		model := &m.Model
 		if m.nodeDeadNow(node.ID) {
 			// The node died under a transiting packet.
@@ -345,7 +339,7 @@ func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, a
 		link := node.links[topo.PortIndex(port)]
 		m.Sim.At(head, func() {
 			service := model.LinkService(pkt.WireBytes())
-			extra := m.faults.LinkExtra(int(node.ID), port, service, nextStart(m.Sim.Now(), link))
+			extra := m.faults.LinkExtra(int(node.ID), port, service, m.nextStart(link))
 			m.metrics.HopDepart(pkt.Seq, node.ID, port, m.Sim.Now())
 			link.Acquire(service+extra, func(start sim.Time) {
 				arrival := start.Add(extra).Add(model.AdapterPair[port.Dim])
@@ -374,7 +368,7 @@ func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, a
 				m.metrics.HopArrive(pkt.Seq, next.ID, arrival)
 				if next.ID == pkt.Dst.Node {
 					avail := arrival.Add(model.ExtraSerialization(pkt.WireBytes()) + model.DstRing)
-					m.deliverLocal(m.Ctx(node.ID), pkt, next.clients[pkt.Dst.Kind], avail)
+					m.deliverLocal(pkt, next.clients[pkt.Dst.Kind], avail)
 					return
 				}
 				m.forwardHard(pkt, next, arrival, false)

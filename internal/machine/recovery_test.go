@@ -297,20 +297,16 @@ func TestOutOfRangeKillsIgnored(t *testing.T) {
 	}
 }
 
-// TestRecoveryUnderPDESStress is the machine half of the 600-run race
-// battery (the kernel half is internal/sim's TestPDESReconfigureStress):
-// each seed derives a torus, a fault-plan class — none, soft
+// TestRecoveryRunUntilStress is a replay battery for hard-failure
+// recovery: each seed derives a torus, a fault-plan class — none, soft
 // corruption+stalls, a scheduled outage, a killed link, or a killed
-// node — a spray of counted writes with registered waits sized to the
-// exactly reachable targets, a RunUntil schedule whose stops land while
-// traffic (and, for kill classes, watchdog recovery) is mid-window, and
-// a worker-count flip at every stop. The full trajectory — canonical
-// send stream, delivery log, wait completions, recovery tally, final
-// clock — must match the all-sequential run of the same schedule. Kill
-// classes veto confinement, so the battery sweeps both the stage-2
-// executor and the stage-1 fallback; ci.sh runs it under the race
-// detector.
-func TestRecoveryUnderPDESStress(t *testing.T) {
+// node — and a spray of counted writes with registered waits sized to
+// the exactly reachable targets. The run stops three times with
+// RunUntil while traffic (and, for kill classes, watchdog recovery) is
+// in flight. The full trajectory — send stream, delivery log, wait
+// completions, recovery tally, final clock — must match a straight Run
+// of the same seed.
+func TestRecoveryRunUntilStress(t *testing.T) {
 	seeds := 300
 	if testing.Short() {
 		seeds = 40
@@ -322,7 +318,7 @@ func TestRecoveryUnderPDESStress(t *testing.T) {
 		ctr packet.CounterID
 	}
 
-	run := func(seed int64, workerPlan []int) (string, uint64, RecoveryStats) {
+	run := func(seed int64, stop bool) (string, RecoveryStats) {
 		rng := rand.New(rand.NewSource(seed))
 		shape := shapes[rng.Intn(len(shapes))]
 		tor := topo.NewTorus(shape[0], shape[1], shape[2])
@@ -350,13 +346,10 @@ func TestRecoveryUnderPDESStress(t *testing.T) {
 		}
 
 		s := sim.New()
-		s.SetGrain(1)
-		s.SetWorkers(workerPlan[0])
 		if !plan.IsZero() || plan.Seed != 0 {
 			fault.Attach(s, plan)
 		}
 		m := New(s, tor, noc.DefaultModel())
-		s.SetConfined(true)
 
 		var log strings.Builder
 		m.OnSend = func(pkt *packet.Packet, at sim.Time) {
@@ -383,7 +376,7 @@ func TestRecoveryUnderPDESStress(t *testing.T) {
 			}
 			expected[key]++
 			src := m.Client(packet.Client{Node: srcNode, Kind: packet.Slice0})
-			m.Ctx(srcNode).At(at, func() {
+			s.At(at, func() {
 				src.Send(&packet.Packet{
 					Kind: packet.Write, Dst: dst, Multicast: packet.NoMulticast,
 					Counter: ctr, Addr: 8 * (i % 32), Bytes: bytes, InOrder: inOrder, Tag: tag,
@@ -397,51 +390,38 @@ func TestRecoveryUnderPDESStress(t *testing.T) {
 			key := key
 			target := expected[key]
 			m.Client(key.c).Wait(key.ctr, target, func() {
-				at := m.Ctx(key.c.Node).Now()
-				m.Defer(key.c.Node, func() {
-					fmt.Fprintf(&log, "W %v %d %d %v\n", key.c, key.ctr, target, at)
-				})
+				fmt.Fprintf(&log, "W %v %d %d %v\n", key.c, key.ctr, target, s.Now())
 			})
 		}
 
-		stops := []sim.Time{sim.Time(800 * sim.Ns), sim.Time(2 * sim.Us), sim.Time(5 * sim.Us)}
-		for i, stop := range stops {
-			drained := s.RunUntil(stop)
-			fmt.Fprintf(&log, "stop%d drained=%v now=%v fired=%d pending=%d\n",
-				i, drained, s.Now(), s.Fired(), s.Pending())
-			if i+1 < len(workerPlan) {
-				s.SetWorkers(workerPlan[i+1])
+		if stop {
+			for _, deadline := range []sim.Time{sim.Time(800 * sim.Ns), sim.Time(2 * sim.Us), sim.Time(5 * sim.Us)} {
+				if s.RunUntil(deadline) {
+					break
+				}
+				if s.Now() != deadline {
+					t.Fatalf("seed %d: RunUntil(%v) left the clock at %v", seed, deadline, s.Now())
+				}
 			}
 		}
 		s.Run()
 		st := m.Stats()
 		fmt.Fprintf(&log, "stats %d %d %d %d\n", st.Sent, st.Received, st.SentBytes, st.RecvBytes)
 		fmt.Fprintf(&log, "recovery %v\n", m.Recovery())
-		fmt.Fprintf(&log, "end %v %d\n", s.Now(), s.Fired())
-		return log.String(), s.ExecWindows(), m.Recovery()
+		fmt.Fprintf(&log, "end %v %d pending=%d\n", s.Now(), s.Fired(), s.Pending())
+		return log.String(), m.Recovery()
 	}
 
-	var engaged uint64
 	var recovered uint64
 	for seed := 0; seed < seeds; seed++ {
 		sd := int64(seed)*104729 + 13
-		rng := rand.New(rand.NewSource(sd ^ 0x5eed))
-		workerPlan := make([]int, 4)
-		workerPlan[0] = 2 + rng.Intn(7)
-		for i := 1; i < len(workerPlan); i++ {
-			workerPlan[i] = rng.Intn(9) // 0 = GOMAXPROCS, 1 = sequential
-		}
-		want, _, _ := run(sd, []int{1, 1, 1, 1})
-		got, windows, rec := run(sd, workerPlan)
+		want, _ := run(sd, false)
+		got, rec := run(sd, true)
 		if got != want {
-			t.Fatalf("seed %d workers=%v: trajectory diverged from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
-				seed, workerPlan, want, got)
+			t.Fatalf("seed %d: trajectory with RunUntil stops diverged from a straight Run\n--- straight ---\n%s\n--- with stops ---\n%s",
+				seed, want, got)
 		}
-		engaged += windows
 		recovered += rec.Lost + rec.Degraded
-	}
-	if engaged == 0 {
-		t.Fatal("stage-2 executor never engaged across the battery; stress is vacuous")
 	}
 	if recovered == 0 {
 		t.Fatal("no kill-class seed ever lost traffic; watchdog recovery was not exercised")

@@ -8,12 +8,8 @@ import "anton/internal/topo"
 // average node receives over 500 messages per time step while sending over
 // 250.
 //
-// The live accumulator holds only the per-node counts: a node's counts are
-// updated exclusively by its own node's events, which all belong to one
-// PDES domain, so stage-2 window execution never shares a counter between
-// worker goroutines. The machine-wide totals are filled in by
-// Machine.Stats, which sums the nodes — an order-free reduction, hence
-// identical at any worker count.
+// The live accumulator holds only the per-node counts; the machine-wide
+// totals are filled in by Machine.Stats, which sums the nodes.
 type Stats struct {
 	Sent      uint64
 	Received  uint64
@@ -35,8 +31,7 @@ func (s *Stats) reset() {
 }
 
 // ensureNodes grows the per-node slice; machine.New pre-sizes it to the
-// torus, so growth only happens in direct unit-test use, never from
-// worker context.
+// torus, so growth only happens in direct unit-test use.
 func (s *Stats) ensureNodes(n int) {
 	if len(s.perNode) < n {
 		grown := make([]nodeStats, n)

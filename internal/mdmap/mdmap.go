@@ -175,10 +175,8 @@ type Mapping struct {
 	zeroIn *fft.Grid
 	allred *collective.AllReduce
 
-	// expected cumulative counter targets, sharded by client node: a
-	// node's shard is touched only by that node's handlers (its PDES
-	// domain) or by the serial coordinator, never concurrently.
-	cum []map[cumKey]uint64
+	// expected cumulative counter targets.
+	cum map[cumKey]uint64
 
 	// per-node compute time accumulated during the current step.
 	// critCompute counts only the arithmetic on the canonical critical
@@ -224,17 +222,10 @@ func New(s *sim.Sim, m *machine.Machine, cfg Config) *Mapping {
 	})
 	mp := &Mapping{
 		M: m, Cfg: cfg, Sys: sys, tor: tor,
-		cum:         make([]map[cumKey]uint64, tor.Nodes()),
+		cum:         make(map[cumKey]uint64),
 		nodeCompute: make([]sim.Dur, tor.Nodes()),
 		critCompute: make([]sim.Dur, tor.Nodes()),
 	}
-	for i := range mp.cum {
-		mp.cum[i] = make(map[cumKey]uint64)
-	}
-	// The MD workload keeps every event chain domain-confined (cross-node
-	// effects go through machine/sim Defer), so the stage-2 window executor
-	// may run whole windows of its handlers in parallel.
-	s.SetConfined(true)
 	mp.boxEdge = sys.Box / float64(tor.DimX)
 	mp.assignHomes()
 	mp.buildImportSets()
@@ -522,15 +513,7 @@ func MeasureMigrationSync(m *machine.Machine) sim.Dur {
 		n := tor.ID(c)
 		expected := uint64(len(tor.Neighbors26(c)))
 		m.Client(packet.Client{Node: n, Kind: packet.Slice0}).Wait(ctrMigSync, expected, func() {
-			// `last` is a cross-node maximum: update it at the canonical
-			// commit slot so the measurement is worker-count independent.
-			ctx := m.Ctx(n)
-			now := ctx.Now()
-			ctx.Defer(func() {
-				if now > last {
-					last = now
-				}
-			})
+			last = max(last, m.Sim.Now())
 		})
 	})
 	tor.ForEach(func(c topo.Coord) {

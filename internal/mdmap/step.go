@@ -82,11 +82,6 @@ func (mp *Mapping) RunStep() StepTiming {
 	finishStep := func() { stepEnd = s.Now() }
 
 	// ---- Phase: thermostat (after all nodes have integrated). ----
-	// The per-phase completion latches (keReady, remainingAdjust, and the
-	// remaining* counters below) are cross-node state: each node's handler
-	// decrements them through Defer, so the updates — and the fan-out that
-	// starts the next phase — run serially on the coordinator in canonical
-	// event order, identical at any worker count.
 	runThermostat := func(next func()) {
 		thermoStart = s.Now()
 		// Each node first computes its local kinetic-energy contribution,
@@ -96,26 +91,22 @@ func (mp *Mapping) RunStep() StepTiming {
 		for n := 0; n < nodes; n++ {
 			n := topo.NodeID(n)
 			mp.computeCrit(n, trace.GC, "kinetic energy", sim.Dur(mp.atomsAt[n])*mp.Cfg.KEPerAtom, func() {
-				mp.M.Defer(n, func() {
-					keReady--
-					if keReady > 0 {
-						return
+				keReady--
+				if keReady > 0 {
+					return
+				}
+				mp.allred.Run(nil, func(at sim.Time) {
+					remainingAdjust := nodes
+					for a := 0; a < nodes; a++ {
+						a := topo.NodeID(a)
+						mp.computeCrit(a, trace.TS, "adjust temperature", mp.Cfg.ThermoAdjust, func() {
+							remainingAdjust--
+							if remainingAdjust == 0 {
+								thermoEnd = s.Now()
+								next()
+							}
+						})
 					}
-					mp.allred.Run(nil, func(at sim.Time) {
-						remainingAdjust := nodes
-						for a := 0; a < nodes; a++ {
-							a := topo.NodeID(a)
-							mp.computeCrit(a, trace.TS, "adjust temperature", mp.Cfg.ThermoAdjust, func() {
-								mp.M.Defer(a, func() {
-									remainingAdjust--
-									if remainingAdjust == 0 {
-										thermoEnd = s.Now()
-										next()
-									}
-								})
-							})
-						}
-					})
 				})
 			})
 		}
@@ -157,13 +148,11 @@ func (mp *Mapping) RunStep() StepTiming {
 				// All neighbours' streams are complete: drain the FIFO.
 				mp.drainFIFO(n, func() {
 					mp.compute(n, trace.TS, "migration bookkeeping", mp.Cfg.MigFixed, func() {
-						mp.M.Defer(n, func() {
-							remainingMigrate--
-							if remainingMigrate == 0 {
-								migEnd = s.Now()
-								finishStep()
-							}
-						})
+						remainingMigrate--
+						if remainingMigrate == 0 {
+							migEnd = s.Now()
+							finishStep()
+						}
 					})
 				})
 			})
@@ -221,9 +210,7 @@ func (mp *Mapping) RunStep() StepTiming {
 		waitStart := s.Now()
 		mp.waitCum(htis, ctrPos, expected, false, func() {
 			if mp.Tracer != nil {
-				ctx := m.Ctx(n)
-				end := ctx.Now()
-				ctx.Defer(func() { mp.Tracer.Add(trace.HTI, waitStart, end, "wait for positions", true) })
+				mp.Tracer.Add(trace.HTI, waitStart, s.Now(), "wait for positions", true)
 			}
 			rangeLimited := func() {
 				// Transmission of force results begins as soon as the
@@ -299,32 +286,30 @@ func (mp *Mapping) RunStep() StepTiming {
 			acc := packet.Client{Node: n, Kind: packet.Accum1}
 			expected := uint64(mp.chargeSrcCount[n] * mp.Cfg.ChargePackets)
 			mp.waitCum(acc, ctrCharge, expected, true, func() {
-				mp.M.Defer(n, func() {
-					fftReady--
-					if fftReady > 0 {
-						return
+				fftReady--
+				if fftReady > 0 {
+					return
+				}
+				fftStart = s.Now()
+				mp.dist.Convolve(mp.zeroIn, mp.green, func(_ *fft.Grid, at sim.Time) {
+					fftEnd = at
+					// The distributed FFT's arithmetic counts toward
+					// each node's critical-path compute.
+					for a := range mp.nodeCompute {
+						mp.nodeCompute[a] += mp.dist.ComputePerNode()
+						mp.critCompute[a] += mp.dist.ComputePerNode()
 					}
-					fftStart = s.Now()
-					mp.dist.Convolve(mp.zeroIn, mp.green, func(_ *fft.Grid, at sim.Time) {
-						fftEnd = at
-						// The distributed FFT's arithmetic counts toward
-						// each node's critical-path compute.
-						for a := range mp.nodeCompute {
-							mp.nodeCompute[a] += mp.dist.ComputePerNode()
-							mp.critCompute[a] += mp.dist.ComputePerNode()
+					// Potentials multicast to the HTIS units through
+					// the same import patterns as positions.
+					mp.tor.ForEach(func(cc topo.Coord) {
+						nn := mp.tor.ID(cc)
+						sl := m.Client(packet.Client{Node: nn, Kind: packet.Slice0})
+						for i := 0; i < mp.Cfg.PotPackets; i++ {
+							sl.Send(&packet.Packet{
+								Kind: packet.Write, Multicast: patternID(mcPosBase, mp.tor, cc),
+								Counter: ctrPot, Addr: 16384 + i*24, Bytes: 192, Tag: "potentials",
+							})
 						}
-						// Potentials multicast to the HTIS units through
-						// the same import patterns as positions.
-						mp.tor.ForEach(func(cc topo.Coord) {
-							nn := mp.tor.ID(cc)
-							sl := m.Client(packet.Client{Node: nn, Kind: packet.Slice0})
-							for i := 0; i < mp.Cfg.PotPackets; i++ {
-								sl.Send(&packet.Packet{
-									Kind: packet.Write, Multicast: patternID(mcPosBase, mp.tor, cc),
-									Counter: ctrPot, Addr: 16384 + i*24, Bytes: 192, Tag: "potentials",
-								})
-							}
-						})
 					})
 				})
 			})
@@ -360,18 +345,14 @@ func (mp *Mapping) RunStep() StepTiming {
 		mp.waitCum(acc0, ctrForce, exp0, true, func() {
 			mp.waitCum(acc1, ctrForce, exp1, true, func() {
 				if mp.Tracer != nil {
-					ctx := m.Ctx(n)
-					end := ctx.Now()
-					ctx.Defer(func() { mp.Tracer.Add(trace.TS, waitStart, end, "wait for forces", true) })
+					mp.Tracer.Add(trace.TS, waitStart, s.Now(), "wait for forces", true)
 				}
 				cost := sim.Dur(mp.atomsAt[n])*mp.Cfg.IntegratePerAtom + mp.Cfg.StepSoftware
 				mp.computeCrit(n, trace.GC, "update positions and velocities", cost, func() {
-					mp.M.Defer(n, func() {
-						remainingIntegrate--
-						if remainingIntegrate == 0 {
-							afterIntegrate()
-						}
-					})
+					remainingIntegrate--
+					if remainingIntegrate == 0 {
+						afterIntegrate()
+					}
 				})
 			})
 		})
@@ -461,16 +442,12 @@ func (mp *Mapping) forceBytes() int {
 // compute charges d of off-critical-path arithmetic to node n and
 // schedules fn afterwards, recording a trace span.
 func (mp *Mapping) compute(n topo.NodeID, unit trace.Unit, label string, d sim.Dur, fn func()) {
-	// compute may only be invoked from node n's own handlers or from the
-	// serial coordinator, so the nodeCompute slot and the scheduling
-	// context both stay domain-confined.
 	mp.nodeCompute[n] += d
-	ctx := mp.M.Ctx(n)
-	start := ctx.Now()
-	ctx.After(d, func() {
+	s := mp.M.Sim
+	start := s.Now()
+	s.After(d, func() {
 		if mp.Tracer != nil {
-			end := ctx.Now()
-			ctx.Defer(func() { mp.Tracer.Add(unit, start, end, label, false) })
+			mp.Tracer.Add(unit, start, s.Now(), label, false)
 		}
 		fn()
 	})
@@ -489,9 +466,8 @@ func (mp *Mapping) computeCrit(n topo.NodeID, unit trace.Unit, label string, d s
 // additional expected packets on top of the cumulative target.
 func (mp *Mapping) waitCum(c packet.Client, ctr packet.CounterID, add uint64, remote bool, fn func()) {
 	k := cumKey{c, ctr}
-	shard := mp.cum[c.Node]
-	shard[k] += add
-	target := shard[k]
+	mp.cum[k] += add
+	target := mp.cum[k]
 	cl := mp.M.Client(c)
 	if remote {
 		cl.WaitRemote(ctr, target, fn)

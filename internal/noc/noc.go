@@ -114,22 +114,6 @@ func DefaultModel() Model {
 	}
 }
 
-// Lookahead returns the minimum simulated latency any packet needs to
-// cross between two nodes: the smallest per-dimension link-adapter-pair
-// latency. It is the conservative PDES window (sim.Partition) for machines
-// built on this model — an event chain can only hand off to another node's
-// domain at least this far in the future, so a window of this width never
-// splits a cross-domain interaction.
-func (m *Model) Lookahead() sim.Dur {
-	min := m.AdapterPair[0]
-	for _, d := range m.AdapterPair[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return min
-}
-
 // SendLatency returns the injection latency for a packet sent by client
 // kind k. Accumulation memories cannot send packets.
 func (m *Model) SendLatency(k packet.ClientKind) sim.Dur {

@@ -84,9 +84,9 @@ func waitUntil(t *testing.T, bound time.Duration, what string, cond func() bool)
 }
 
 // abortBound is the generous ceiling on cancel-to-worker-freed latency.
-// The real figure is one abort-check interval — a sweep point, a 4096
-// event batch, or one PDES window, i.e. milliseconds — but CI boxes
-// deserve slack. The bound is asserted even in -short mode.
+// The real figure is one abort-check interval — a sweep point or a 4096
+// event batch, i.e. milliseconds — but CI boxes deserve slack. The bound
+// is asserted even in -short mode.
 const abortBound = 5 * time.Second
 
 // longDES is a DES request slow enough (~6s quick) that cancelling it

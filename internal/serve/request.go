@@ -39,7 +39,7 @@ type Request struct {
 	Faults string `json:"faults,omitempty"`
 	// Quick reduces sampling density of the expensive experiments.
 	Quick bool `json:"quick,omitempty"`
-	// Workers is the sweep/PDES goroutine budget for this run (0 = the
+	// Workers is the sweep goroutine budget for this run (0 = the
 	// server default). It never changes a response byte and is excluded
 	// from the cache digest.
 	Workers int `json:"workers,omitempty"`

@@ -55,7 +55,7 @@ type Job struct {
 	// ctx carries the job's deadline (derived from the server's base
 	// context, so drain cancels every job at once); cancel releases it
 	// and is what DELETE /jobs/{id} fires. The harness session polls
-	// ctx.Done at sweep points and simulator batch/window boundaries.
+	// ctx.Done at sweep points and simulator event-batch boundaries.
 	ctx    context.Context
 	cancel context.CancelFunc
 	// chargedNs is the run-time estimate this job added to its queue's
@@ -95,10 +95,10 @@ func (j *Job) release() {
 // before it starts: its in-flight cache entry aborts so joiners re-arm
 // and a later identical request recomputes. A running job's context is
 // cancelled; the session's abort hook observes that within one
-// abort-check interval (a sweep point, an event batch, or a PDES
-// window), the worker abandons the run and frees its slot, and the
-// entry aborts — the interrupted computation's bytes can never be
-// cached or served. Returns false if the job had already finished.
+// abort-check interval (a sweep point or an event batch), the worker
+// abandons the run and frees its slot, and the entry aborts — the
+// interrupted computation's bytes can never be cached or served.
+// Returns false if the job had already finished.
 func (j *Job) Cancel() bool {
 	if j.State().Terminal() {
 		return false
@@ -136,8 +136,8 @@ type SchedConfig struct {
 	// QueueDepth bounds each queue; a submit to a full queue fails (the
 	// server answers 503) instead of buffering unboundedly.
 	QueueDepth int
-	// SessionWorkers is the default per-run sweep/PDES goroutine budget
-	// when the request does not set one. Values above 1 run sweep units
+	// SessionWorkers is the default per-run sweep goroutine budget when
+	// the request does not set one. Values above 1 run sweep units
 	// on pool goroutines where a panic is unrecoverable; at the default
 	// of 1 the scheduler's recover turns a panicking experiment into a
 	// failed job instead of a dead server.
@@ -342,8 +342,8 @@ func (s *Scheduler) runOne(j *Job) {
 	start := time.Now()
 	res, err := s.runGuarded(j)
 	if j.ctxErr() != nil || j.cancelled.Load() {
-		// Cancelled or timed out mid-run. The simulators stopped at a
-		// batch/window boundary and the sweeps skipped their remaining
+		// Cancelled or timed out mid-run. The simulators stopped at an
+		// event-batch boundary and the sweeps skipped their remaining
 		// units, so res (if the experiment even returned) is a truncated
 		// artifact: abort the entry so those bytes can never be served,
 		// and let the next identical request recompute from scratch.

@@ -76,43 +76,6 @@ func TestAbortNeverFiresStaysIdentical(t *testing.T) {
 	}
 }
 
-func TestAbortPDESWindowBoundary(t *testing.T) {
-	s := New()
-	s.Partition(4, 10*Ns)
-	s.SetWorkers(4)
-	s.SetGrain(1)
-	// Four independent per-domain chains so several windows' worth of
-	// events exist in every domain.
-	fired := 0
-	for d := 0; d < 4; d++ {
-		d := d
-		var step func()
-		count := 0
-		step = func() {
-			fired++
-			count++
-			if count < 1000 {
-				s.AfterDomain(d, 1*Ns, step)
-			}
-		}
-		s.AtDomain(d, Time(1*Ns), step)
-	}
-	polls := 0
-	s.SetAbort(func() bool { polls++; return polls > 5 })
-	s.Run()
-	if !s.Aborted() {
-		t.Fatal("PDES run did not honor the abort hook")
-	}
-	if fired == 0 || fired >= 4000 {
-		t.Fatalf("fired %d events, want a strict prefix of 4000", fired)
-	}
-	// Windows commit whole: with 4 synchronized 1ns chains and 10ns
-	// windows, the committed prefix is a multiple of 4 events.
-	if fired%4 != 0 {
-		t.Fatalf("fired %d events: a window was committed partially", fired)
-	}
-}
-
 func TestAbortedRunIsCleanPrefix(t *testing.T) {
 	// The committed prefix of an aborted run must be byte-for-byte the
 	// prefix of the full run: same events, same order, same clocks.

@@ -1,14 +1,12 @@
-// Differential fuzzing of the PDES kernel through the full machine
-// model: for a randomized workload — topology, fault plan, kill
-// schedule, and handler mix all derived from the fuzz input — the
-// parallel executor must reproduce the sequential kernel's trajectory
-// byte for byte across a workers x grain grid. The workload runs on the
-// machine layer (in an external test package, since machine builds on
-// sim), so the fuzzer sweeps the real conversion surface: canonical
-// send-sequence renumbering, the sharded in-order ledger, per-node
-// statistics, multicast fan-out, counter wakes, FIFO delivery, fault
-// draws, and — under kill plans — watchdog recovery, which vetoes
-// stage 2 and exercises the stage-1 fallback instead.
+// Replay fuzzing of the kernel through the full machine model: for a
+// randomized workload — topology, fault plan, kill schedule, and handler
+// mix all derived from the fuzz input — two runs must produce the same
+// trajectory byte for byte and leave no event pending. The workload runs
+// on the machine layer (in an external test package, since machine builds
+// on sim), so a replay mismatch exposes nondeterminism anywhere in the
+// model stack — map iteration order, say — across send sequencing, the
+// in-order ledger, per-node statistics, multicast fan-out, counter wakes,
+// FIFO delivery, fault draws, and, under kill plans, watchdog recovery.
 package sim_test
 
 import (
@@ -26,16 +24,13 @@ import (
 	"anton/internal/topo"
 )
 
-// fuzzTopos are the torus shapes the fuzzer cycles through: enough nodes
-// for several PDES domains, small enough that a seed runs in
-// milliseconds.
+// fuzzTopos are the torus shapes the fuzzer cycles through, small enough
+// that a seed runs in milliseconds.
 var fuzzTopos = [][3]int{{2, 2, 2}, {4, 2, 2}, {4, 4, 2}, {4, 4, 4}}
 
 // fuzzPlan derives a fault plan from the selector: none, soft faults
 // (corruption + stalls), scheduled outage windows, a killed link, or a
-// killed node. Hard-fault selections exercise watchdog recovery and the
-// stage-1 fallback (recovery vetoes confinement); the others keep
-// stage 2 eligible.
+// killed node. Hard-fault selections exercise watchdog recovery.
 func fuzzPlan(sel uint8, seed uint64, nodes int) fault.Plan {
 	p := fault.Plan{Seed: seed}
 	switch sel % 5 {
@@ -63,24 +58,17 @@ func fuzzPlan(sel uint8, seed uint64, nodes int) fault.Plan {
 // fuzzTrajectory runs the derived workload and renders every observable
 // the determinism contract covers: the canonical send-sequence stream,
 // the delivery log (in canonical commit order), per-node traffic
-// counts, the fault tally, and the final clock and event count.
-func fuzzTrajectory(seed uint64, topoSel, faultSel uint8, workers, grain int) string {
+// counts, the fault tally, and the final clock and event count. A run
+// that leaves events pending fails t.
+func fuzzTrajectory(t *testing.T, seed uint64, topoSel, faultSel uint8) string {
 	shape := fuzzTopos[int(topoSel)%len(fuzzTopos)]
 	tor := topo.NewTorus(shape[0], shape[1], shape[2])
 	s := sim.New()
-	if grain > 0 {
-		s.SetGrain(grain)
-	}
-	s.SetWorkers(workers)
 	plan := fuzzPlan(faultSel, seed, tor.Nodes())
 	if !plan.IsZero() || plan.Seed != 0 {
 		fault.Attach(s, plan)
 	}
 	m := machine.New(s, tor, noc.DefaultModel())
-	// The workload below keeps every handler domain-confined (logs go
-	// through the machine hooks, which commit canonically), so stage 2 is
-	// legal whenever the plan has not vetoed it.
-	s.SetConfined(true)
 
 	var log strings.Builder
 	m.OnSend = func(pkt *packet.Packet, at sim.Time) {
@@ -118,7 +106,7 @@ func fuzzTrajectory(seed uint64, topoSel, faultSel uint8, workers, grain int) st
 			inOrder := rng.Intn(2) == 0
 			expected[ctrKey{dst, ctr}]++
 			src := m.Client(packet.Client{Node: srcNode, Kind: packet.Slice0})
-			m.Ctx(srcNode).At(at, func() {
+			s.At(at, func() {
 				src.Send(&packet.Packet{
 					Kind: packet.Write, Dst: dst, Multicast: packet.NoMulticast,
 					Counter: ctr, Addr: 64 * i, Bytes: 32, InOrder: inOrder, Tag: tag,
@@ -129,7 +117,7 @@ func fuzzTrajectory(seed uint64, topoSel, faultSel uint8, workers, grain int) st
 			ctr := packet.CounterID(3 + rng.Intn(2))
 			expected[ctrKey{dst, ctr}]++
 			src := m.Client(packet.Client{Node: srcNode, Kind: packet.Slice1})
-			m.Ctx(srcNode).At(at, func() {
+			s.At(at, func() {
 				src.Send(&packet.Packet{
 					Kind: packet.Accumulate, Dst: dst, Multicast: packet.NoMulticast,
 					Counter: ctr, Addr: 8 * (i % 16), Bytes: 24, Payload: []float64{float64(i)}, Tag: tag,
@@ -138,7 +126,7 @@ func fuzzTrajectory(seed uint64, topoSel, faultSel uint8, workers, grain int) st
 		case 2: // message into the destination slice's FIFO
 			dst := packet.Client{Node: topo.NodeID(rng.Intn(nodes)), Kind: packet.Slice(rng.Intn(4))}
 			src := m.Client(packet.Client{Node: srcNode, Kind: packet.Slice2})
-			m.Ctx(srcNode).At(at, func() {
+			s.At(at, func() {
 				src.Send(&packet.Packet{
 					Kind: packet.Message, Dst: dst, Multicast: packet.NoMulticast,
 					Counter: packet.NoCounter, Bytes: 64, Tag: tag,
@@ -156,7 +144,7 @@ func fuzzTrajectory(seed uint64, topoSel, faultSel uint8, workers, grain int) st
 				expected[ctrKey{packet.Client{Node: peer, Kind: packet.Slice1}, ctr}]++
 			}
 			src := m.Client(packet.Client{Node: srcNode, Kind: packet.Slice0})
-			m.Ctx(srcNode).At(at, func() {
+			s.At(at, func() {
 				src.Send(&packet.Packet{
 					Kind: packet.Write, Multicast: packet.MulticastID(c.X),
 					Counter: ctr, Addr: 4096, Bytes: 16, InOrder: inOrder, Tag: tag,
@@ -170,13 +158,12 @@ func fuzzTrajectory(seed uint64, topoSel, faultSel uint8, workers, grain int) st
 			next := packet.Client{Node: topo.NodeID(rng.Intn(nodes)), Kind: packet.Slice2}
 			target := expected[ctrKey{dst, ctr}]
 			m.Client(dst).Wait(ctr, target, func() {
-				// Executes in dst's domain: relay from dst's own node.
 				m.Client(dst).Send(&packet.Packet{
 					Kind: packet.Message, Dst: next, Multicast: packet.NoMulticast,
 					Counter: packet.NoCounter, Bytes: 8, Tag: tag + "-relay",
 				})
 			})
-			m.Ctx(srcNode).At(at, func() {
+			s.At(at, func() {
 				src.Send(&packet.Packet{
 					Kind: packet.Write, Dst: dst, Multicast: packet.NoMulticast,
 					Counter: ctr, Addr: 0, Bytes: 32, Tag: tag,
@@ -191,15 +178,16 @@ func fuzzTrajectory(seed uint64, topoSel, faultSel uint8, workers, grain int) st
 	var pump func()
 	pump = func() {
 		f.Pop(func(pkt *packet.Packet) {
-			// The log is shared state: append at the canonical commit slot,
-			// like the machine's own hooks do.
-			m.Defer(drainNode, func() { fmt.Fprintf(&log, "F %s\n", pkt.Tag) })
+			fmt.Fprintf(&log, "F %s\n", pkt.Tag)
 			pump()
 		})
 	}
-	m.Ctx(drainNode).At(sim.Time(1*sim.Us), pump)
+	s.At(sim.Time(1*sim.Us), pump)
 
 	s.Run()
+	if n := s.Pending(); n != 0 {
+		t.Fatalf("seed=%d topo=%d fault=%d: %d events pending after Run", seed, topoSel, faultSel, n)
+	}
 
 	st := m.Stats()
 	fmt.Fprintf(&log, "stats %d %d %d %d\n", st.Sent, st.Received, st.SentBytes, st.RecvBytes)
@@ -213,11 +201,10 @@ func fuzzTrajectory(seed uint64, topoSel, faultSel uint8, workers, grain int) st
 	return log.String()
 }
 
-// FuzzPDESDifferential is the differential fuzz target: any divergence
-// between the sequential kernel and the parallel executor — at any
-// worker count, domain count (via topology), or grain — is a bug in the
-// determinism contract, regardless of what the workload does.
-func FuzzPDESDifferential(f *testing.F) {
+// FuzzMachineReplay is the replay fuzz target: any difference between two
+// runs of one input is nondeterminism in the model stack, whatever the
+// workload does.
+func FuzzMachineReplay(f *testing.F) {
 	// Seed corpus: every topology and every fault-plan class, plus a few
 	// extra seeds for handler-mix variety. ci.sh runs these as regular
 	// tests.
@@ -228,15 +215,10 @@ func FuzzPDESDifferential(f *testing.F) {
 	f.Add(uint64(2), uint8(2), uint8(1))
 	f.Add(uint64(99), uint8(1), uint8(2))
 	f.Fuzz(func(t *testing.T, seed uint64, topoSel, faultSel uint8) {
-		want := fuzzTrajectory(seed, topoSel, faultSel, 1, 0)
-		for _, workers := range []int{2, 8} {
-			for _, grain := range []int{1, 0} { // 1 forces windows parallel; 0 keeps the default
-				got := fuzzTrajectory(seed, topoSel, faultSel, workers, grain)
-				if got != want {
-					t.Fatalf("seed=%d topo=%d fault=%d workers=%d grain=%d: trajectory diverged from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
-						seed, topoSel, faultSel, workers, grain, diffHead(want, got), diffHead(got, want))
-				}
-			}
+		want := fuzzTrajectory(t, seed, topoSel, faultSel)
+		if got := fuzzTrajectory(t, seed, topoSel, faultSel); got != want {
+			t.Fatalf("seed=%d topo=%d fault=%d: replay diverged\n--- first run ---\n%s\n--- second run ---\n%s",
+				seed, topoSel, faultSel, diffHead(want, got), diffHead(got, want))
 		}
 	})
 }

@@ -1,14 +1,10 @@
 package sim
 
-import (
-	"cmp"
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
-// radixQueue is the sequential executor's event queue: a monotone radix
-// queue over the canonical (at, seq) order. It is exact only because the
-// kernel never schedules before now.
+// radixQueue is the kernel's event queue: a monotone radix queue over the
+// canonical (at, seq) order. It is exact only because the kernel never
+// schedules before now.
 //
 // last is the time of the event about to fire (or of the one that fired
 // last). Every pending event has at >= last and lives in bucket
@@ -121,24 +117,4 @@ func earliest(b []event) Time {
 		}
 	}
 	return m
-}
-
-// all returns every pending event, in no particular order.
-func (q *radixQueue) all() []event {
-	es := append([]event(nil), q.b[0][q.head:]...)
-	for _, b := range q.b[1:] {
-		es = append(es, b...)
-	}
-	return es
-}
-
-// load fills an empty queue with es, none earlier than now. It sorts es by
-// seq first, so each bucket is appended in seq order as the exactness
-// argument above requires.
-func (q *radixQueue) load(es []event, now Time) {
-	slices.SortFunc(es, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
-	q.last = now
-	for _, e := range es {
-		q.push(e)
-	}
 }

@@ -5,6 +5,64 @@ import (
 	"testing"
 )
 
+// before is the canonical event order: timestamp, then scheduling order
+// (FIFO among same-instant events).
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap over the canonical order: the reference
+// queue the radix queue is checked against.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s[i].before(&s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = event{}
+	*h = s[:n]
+	h.siftDown(0)
+	return top
+}
+
+func (h *eventHeap) siftDown(i int) {
+	s := *h
+	n := len(s)
+	for {
+		l, r := 2*i+1, 2*i+2
+		least := i
+		if l < n && s[l].before(&s[least]) {
+			least = l
+		}
+		if r < n && s[r].before(&s[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+}
+
 // queuePair drives the radix queue and the reference eventHeap with one
 // operation stream and fails on the first pop or peek where they differ.
 type queuePair struct {
@@ -65,22 +123,11 @@ func (p *queuePair) advance(frac byte) {
 	p.now += (p.h[0].at - p.now) / 256 * Time(frac)
 }
 
-// reload takes every pending event out, shuffles it and loads it back, as
-// the PDES executor's drain to the sequential queue does.
-func (p *queuePair) reload(seed byte) {
-	batch := p.rq.all()
-	if len(batch) != len(p.h) {
-		p.t.Fatalf("all returned %d events, %d pending", len(batch), len(p.h))
-	}
-	rng := rand.New(rand.NewSource(int64(seed)))
-	rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-	p.rq = radixQueue{}
-	p.rq.load(batch, p.now)
-}
-
 // runQueueStream interprets ops as (opcode, argument) byte pairs, applies
 // them to both queues, and finally drains both, so every stream checks
-// the complete pop order.
+// the complete pop order. Opcode 10 is a no-op: it once reloaded the
+// queue, and keeping the modulus keeps the checked-in FuzzEventQueue
+// streams' meaning.
 func runQueueStream(t *testing.T, ops []byte) {
 	p := &queuePair{t: t}
 	for i := 0; i+1 < len(ops); i += 2 {
@@ -109,8 +156,6 @@ func runQueueStream(t *testing.T, ops []byte) {
 			}
 		case 9:
 			p.advance(arg)
-		case 10:
-			p.reload(arg)
 		}
 		if p.rq.n != len(p.h) {
 			t.Fatalf("op %d: %d pending, heap holds %d", i/2, p.rq.n, len(p.h))
@@ -122,17 +167,17 @@ func runQueueStream(t *testing.T, ops []byte) {
 }
 
 // The radix queue must pop exactly the reference heap's (at, seq) order on
-// random streams. In every second stream drains and reloads are made rare,
-// so over a thousand events can be pending. The FuzzEventQueue corpus adds one
+// random streams. In every second stream drains are made rare, so over a
+// thousand events can be pending. The FuzzEventQueue corpus adds one
 // stream per case: same-instant ties, power-of-two boundaries, far-future
-// times, mid-stream drains, shuffled reloads and RunUntil-style advances.
+// times, mid-stream drains and RunUntil-style advances.
 func TestRadixQueueMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		ops := make([]byte, 2*(1+rng.Intn(2000)))
 		rng.Read(ops)
 		for j := 0; i%2 == 1 && j < len(ops); j += 2 {
-			if op := ops[j] % 11; (op == 8 || op == 10) && rng.Intn(200) > 0 {
+			if ops[j]%11 == 8 && rng.Intn(200) > 0 {
 				ops[j] = 3
 			}
 		}
@@ -167,28 +212,24 @@ func TestRunUntilPeekKeepsQueueFloor(t *testing.T) {
 	}
 }
 
-// Pending events that move into the PDES domain queues and back, and a run
-// aborted and resumed after that, must fire in the uninterrupted order.
+// The queue must carry its pending events intact across RunUntil stops,
+// an abort and a resume: clearing the hook and running again must fire
+// exactly the uninterrupted order.
 func TestQueueReloadAbortResume(t *testing.T) {
-	const domains, lookahead, seed, n = 4, 13 * Ns, 5, 300
-	want := pdesWorkload(New(), domains, lookahead, seed, n)
+	ref := New()
+	want := treeWorkload(ref, 5, 300)
+	ref.Run()
 
 	s := New()
-	s.Partition(domains, lookahead)
-	got := seedPDESWorkload(s, domains, lookahead, seed, n)
+	got := treeWorkload(s, 5, 300)
 	s.RunUntil(Time(20 * Ns))
 	if s.Pending() == 0 {
-		t.Fatal("no events pending before SetWorkers(4)")
-	}
-	s.SetWorkers(4)
-	if s.pd == nil {
-		t.Fatal("SetWorkers(4) did not engage the PDES executor")
+		t.Fatal("no events pending after RunUntil(20ns)")
 	}
 	s.RunUntil(Time(60 * Ns))
 	if s.Pending() == 0 {
-		t.Fatal("no events pending before SetWorkers(1)")
+		t.Fatal("no events pending after RunUntil(60ns)")
 	}
-	s.SetWorkers(1)
 	s.SetAbortBatch(16)
 	polls := 0
 	s.SetAbort(func() bool { polls++; return polls > 2 })
@@ -198,14 +239,41 @@ func TestQueueReloadAbortResume(t *testing.T) {
 	}
 	s.SetAbort(nil)
 	s.Run()
-	if len(*got) != len(want) {
-		t.Fatalf("fired %d events, uninterrupted run fired %d", len(*got), len(want))
+	if len(*got) != len(*want) {
+		t.Fatalf("fired %d events, uninterrupted run fired %d", len(*got), len(*want))
 	}
-	for i := range want {
-		if (*got)[i] != want[i] {
+	for i := range *want {
+		if (*got)[i] != (*want)[i] {
 			t.Fatalf("event %d differs from the uninterrupted run", i)
 		}
 	}
+}
+
+// treeWorkload schedules n root events whose handlers spawn children at
+// random delays, zero included, so same-instant ties and events scheduled
+// mid-run both occur. The returned pointer observes the ids of the fired
+// events, in firing order.
+func treeWorkload(s *Sim, seed int64, n int) *[]int {
+	rng := rand.New(rand.NewSource(seed))
+	log := new([]int)
+	id := 0
+	var spawn func(d Dur, depth int)
+	spawn = func(d Dur, depth int) {
+		id++
+		me := id
+		s.After(d, func() {
+			*log = append(*log, me)
+			for k := 0; k < 2; k++ {
+				if depth < 4 && rng.Intn(10) < 6 {
+					spawn(Dur(rng.Intn(3))*Dur(rng.Int63n(int64(40*Ns))), depth+1)
+				}
+			}
+		})
+	}
+	for i := 0; i < n; i++ {
+		spawn(Dur(rng.Int63n(int64(100*Ns))), 0)
+	}
+	return log
 }
 
 // deepDelays draws n scheduling delays from the mix measured on the DHFR
@@ -274,9 +342,9 @@ func TestRadixQueueRetainedBounded(t *testing.T) {
 	t.Logf("peak %d pending, %d events retained", peak, retained(&s.events))
 }
 
-// BenchmarkEventQueueDeep fires b.N events through the sequential kernel
-// with 12,288 pending, about the mean depth per pop on the DHFR step
-// workload, and delays drawn from that workload's mix.
+// BenchmarkEventQueueDeep fires b.N events through the kernel with
+// 12,288 pending, about the mean depth per pop on the DHFR step workload,
+// and delays drawn from that workload's mix.
 // BenchmarkEventThroughput runs at depth 1 and cannot see queue structure.
 func BenchmarkEventQueueDeep(b *testing.B) {
 	const depth = 12_288

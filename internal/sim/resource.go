@@ -14,45 +14,15 @@ type Resource struct {
 	// busy accumulates total occupied time, for utilization reporting.
 	busy Dur
 	uses uint64
-	// dom, when >= 0, pins every service-start event to that spatial
-	// domain for the PDES executor; -1 inherits the scheduling event's
-	// domain. Physical resources (a node's links and ports) are pinned to
-	// their node's domain so their event chains stay queue-local.
-	dom int32
 }
 
 // NewResource returns a resource attached to s.
-func NewResource(s *Sim) *Resource {
-	return &Resource{sim: s, dom: -1}
-}
-
-// InDomain pins the resource's events to spatial domain dom (see
-// Sim.AtDomain) and returns the resource for construction chaining.
-func (r *Resource) InDomain(dom int) *Resource {
-	r.dom = int32(dom)
-	return r
-}
+func NewResource(s *Sim) *Resource { return &Resource{sim: s} }
 
 // Acquire schedules fn to run when the resource becomes free (no earlier
 // than now) and occupies the resource for service starting at that moment.
-// It returns the time at which service begins. A pinned resource is
-// domain-confined state: during a stage-2 window only its own domain's
-// handlers may acquire it, and the call routes through the domain Ctx.
+// It returns the time at which service begins.
 func (r *Resource) Acquire(service Dur, fn func(start Time)) Time {
-	if r.dom >= 0 {
-		c := Ctx{s: r.sim, dom: r.dom}
-		start := r.freeAt
-		if now := c.Now(); start < now {
-			start = now
-		}
-		r.freeAt = start.Add(service)
-		r.busy += service
-		r.uses++
-		if fn != nil {
-			c.At(start, func() { fn(start) })
-		}
-		return start
-	}
 	start := r.freeAt
 	if now := r.sim.Now(); start < now {
 		start = now
@@ -88,10 +58,6 @@ type Counter struct {
 	sim   *Sim
 	value uint64
 	waits []counterWait
-	// dom, when >= 0, pins the counter's wake events to that spatial
-	// domain; -1 inherits the scheduling event's domain. A pinned counter
-	// is domain-confined state under the stage-2 contract.
-	dom int32
 }
 
 type counterWait struct {
@@ -101,23 +67,7 @@ type counterWait struct {
 }
 
 // NewCounter returns a counter attached to s with value zero.
-func NewCounter(s *Sim) *Counter { return &Counter{sim: s, dom: -1} }
-
-// InDomain pins the counter's wake events to spatial domain dom and
-// returns the counter for construction chaining.
-func (c *Counter) InDomain(dom int) *Counter {
-	c.dom = int32(dom)
-	return c
-}
-
-// wake schedules a satisfied waiter's callback poll after now.
-func (c *Counter) wake(poll Dur, fn func()) {
-	if c.dom >= 0 {
-		Ctx{s: c.sim, dom: c.dom}.After(poll, fn)
-		return
-	}
-	c.sim.After(poll, fn)
-}
+func NewCounter(s *Sim) *Counter { return &Counter{sim: s} }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.value }
@@ -134,7 +84,7 @@ func (c *Counter) Add(n uint64) {
 	remaining := c.waits[:0]
 	for _, w := range c.waits {
 		if c.value >= w.target {
-			c.wake(w.poll, w.fn)
+			c.sim.After(w.poll, w.fn)
 		} else {
 			remaining = append(remaining, w)
 		}
@@ -154,7 +104,7 @@ func (c *Counter) Reset() {
 // Wait schedules fn to run pollOverhead after the counter reaches target.
 func (c *Counter) Wait(target uint64, pollOverhead Dur, fn func()) {
 	if c.value >= target {
-		c.wake(pollOverhead, fn)
+		c.sim.After(pollOverhead, fn)
 		return
 	}
 	c.waits = append(c.waits, counterWait{target: target, poll: pollOverhead, fn: fn})
