@@ -11,15 +11,17 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files with the current experiment output")
 
-// TestGoldenReports pins the rendered text of two cheap experiments. The
-// reports are fully deterministic — the simulator has no real-time or
+// TestGoldenReports pins the rendered text of four cheap experiments:
+// the latency survey and breakdown, the global all-reduce (table2) and
+// the in-order multicast migration step (migsync). The reports are fully
+// deterministic — the simulator has no real-time or
 // random inputs, and sweep parallelism never changes a byte of output —
 // so any diff means the performance model itself changed. After an
 // intentional model change, regenerate with:
 //
 //	go test ./cmd/antonbench -run Golden -update
 func TestGoldenReports(t *testing.T) {
-	for _, id := range []string{"fig6", "table1"} {
+	for _, id := range []string{"fig6", "table1", "table2", "migsync"} {
 		e, ok := harness.Lookup(id)
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
