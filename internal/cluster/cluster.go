@@ -128,7 +128,8 @@ func (c *Cluster) Send(src, dst, bytes int, onRecv func(at sim.Time)) {
 	attempts := 0
 	var attempt func()
 	attempt = func() {
-		c.nic[src].Acquire(service, func(start sim.Time) {
+		c.nic[src].Acquire(service, func() {
+			start := c.Sim.Now()
 			if c.hard && c.faults.NodeKilledAt(src, start) {
 				// A dead rank issues nothing: the message is lost at the
 				// NIC and the receiver's watchdog explains the shortfall.
@@ -156,8 +157,8 @@ func (c *Cluster) Send(src, dst, bytes int, onRecv func(at sim.Time)) {
 					c.rec.Lost++
 					return
 				}
-				c.cpu[dst].Acquire(m.RecvOverhead, func(s2 sim.Time) {
-					c.Sim.At(s2.Add(m.RecvOverhead), func() {
+				c.cpu[dst].Acquire(m.RecvOverhead, func() {
+					c.Sim.At(c.Sim.Now().Add(m.RecvOverhead), func() {
 						if onRecv != nil {
 							onRecv(c.Sim.Now())
 						}

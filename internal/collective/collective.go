@@ -260,7 +260,10 @@ func sumAddr(d topo.Dim, p, values int) int {
 	return (int(d)*32 + p) * max(values, 1)
 }
 
-func shareAddr(values int) int { return 4096 }
+// shareAddr is the slot the final local share writes, just past the sum
+// slots of the last round. Nothing reads it back: the share's counter is
+// what completes the operation.
+func shareAddr(values int) int { return sumAddr(topo.NumDims, 0, values) }
 
 func max(a, b int) int {
 	if a > b {

@@ -63,6 +63,28 @@ func TestRingBroadcastTinyRing(t *testing.T) {
 	}
 }
 
+// The all-reduce's receive and share slots are dense, so a 32-byte
+// reduction on 8x8x16 (eight values, 16-node Z rings) leaves every client
+// of every node within 1024 words of local memory.
+func TestAllReduceFootprint(t *testing.T) {
+	s := sim.New()
+	m := machine.New(s, topo.NewTorus(8, 8, 16), defaultNoc())
+	done := false
+	NewAllReduce(m, DefaultConfig(32)).Run(nil, func(sim.Time) { done = true })
+	s.Run()
+	if !done {
+		t.Fatal("all-reduce never completed")
+	}
+	for n := 0; n < m.Torus.Nodes(); n++ {
+		for k := packet.ClientKind(0); k < packet.NumClients; k++ {
+			c := m.Client(packet.Client{Node: topo.NodeID(n), Kind: k})
+			if got := c.MemWords(); got > 1024 {
+				t.Fatalf("%v holds %d words after one all-reduce, want at most 1024", c.Addr, got)
+			}
+		}
+	}
+}
+
 func TestAllReduceCorrectSum(t *testing.T) {
 	s := sim.New()
 	m := machine.New(s, topo.NewTorus(4, 4, 4), defaultNoc())

@@ -31,12 +31,12 @@ type Dist struct {
 	// Bytes is the wire payload per grid-point packet (a complex value).
 	Bytes int
 
-	gen uint64
+	// stride is the words between stage buffers in slice 0's local
+	// memory: every stage holds the node's b³ complex points (lpn lines
+	// of N points, or the b³ box), so the six buffers sit back to back.
+	stride int
+	gen    uint64
 }
-
-// Stage bases within the slice-0 local memory, spaced far enough apart for
-// any supported grid size.
-const distStride = 1 << 16
 
 // NewDist validates the machine/grid combination and returns a distributed
 // FFT. The torus must be cubic, the grid side divisible by the torus side,
@@ -56,6 +56,7 @@ func NewDist(m *machine.Machine, gridN int, ctrBase packet.CounterID) *Dist {
 	}
 	return &Dist{
 		m: m, N: gridN, n: n, b: b, lpn: b * b / n,
+		stride:   2 * b * b * b,
 		CtrBase:  ctrBase,
 		PerPoint: 2500 * sim.Ps,
 		Bytes:    16,
@@ -124,7 +125,7 @@ func (d *Dist) Convolve(in, green *Grid, done func(out *Grid, at sim.Time)) {
 		out := NewGrid(d.N)
 		d.m.Torus.ForEach(func(c topo.Coord) {
 			cl := d.client(d.m.Torus.ID(c))
-			base := stBox * distStride
+			base := stBox * d.stride
 			for lx := 0; lx < d.b; lx++ {
 				for ly := 0; ly < d.b; ly++ {
 					for lz := 0; lz < d.b; lz++ {
@@ -182,7 +183,7 @@ func nextStage(stage int) int { return stage + 1 }
 // for the final forward stage) to the node's pencil buffer.
 func (d *Dist) compute(id topo.NodeID, c topo.Coord, stage int, green *Grid) {
 	cl := d.client(id)
-	base := stage * distStride
+	base := stage * d.stride
 	line := make([]complex128, d.N)
 	for l := 0; l < d.lpn; l++ {
 		buf := cl.Mem(base+l*d.N*2, d.N*2)
@@ -243,7 +244,7 @@ func (d *Dist) sendBoxToX(c topo.Coord, in *Grid) {
 			for lz := 0; lz < d.b; lz++ {
 				x, y, z := c.X*d.b+lx, c.Y*d.b+ly, c.Z*d.b+lz
 				owner := topo.C(d.ownerInRow(ly, lz), c.Y, c.Z)
-				addr := stFwdX*distStride + (d.lineLocal(ly, lz)*d.N+x)*2
+				addr := stFwdX*d.stride + (d.lineLocal(ly, lz)*d.N+x)*2
 				v := in.At(x, y, z)
 				d.sender(id, k).Write(packet.Client{Node: d.m.Torus.ID(owner), Kind: packet.Slice0},
 					ctr, addr, d.Bytes, real(v), imag(v))
@@ -257,7 +258,7 @@ func (d *Dist) sendBoxToX(c topo.Coord, in *Grid) {
 // layout.
 func (d *Dist) emit(id topo.NodeID, c topo.Coord, stage int) {
 	cl := d.client(id)
-	base := stage * distStride
+	base := stage * d.stride
 	next := nextStage(stage)
 	ctr := d.CtrBase + packet.CounterID(next)
 	k := 0
@@ -278,7 +279,7 @@ func (d *Dist) emit(id topo.NodeID, c topo.Coord, stage int) {
 // address in the *next* stage's layout.
 func (d *Dist) destFor(c topo.Coord, stage, u, v, i int) (topo.Coord, int) {
 	next := nextStage(stage)
-	base := next * distStride
+	base := next * d.stride
 	switch stage {
 	case stFwdX: // x pencils (u=y, v=z, i=x) -> y pencils (fixed x, z)
 		x, y, z := i, u, v

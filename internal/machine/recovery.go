@@ -216,7 +216,6 @@ func (m *Machine) recStateFor(key recKey) *recState {
 // source can re-issue it, as a permanent deficit otherwise.
 func (m *Machine) losePacket(pkt *packet.Packet, dst packet.Client, reason lossReason) {
 	now := m.Sim.Now()
-	fmt.Printf("LOSE t=%d seq=%d src=%v dst=%v ctr=%d kind=%d reason=%d\n", now, pkt.Seq, pkt.Src, dst, pkt.Counter, pkt.Kind, reason)
 	m.rec.Lost++
 	m.metrics.PacketLost(pkt.Seq, dst, int(reason), now)
 	if pkt.InOrder {
@@ -302,7 +301,7 @@ func (m *Machine) mcReroute(pkt *packet.Packet, node *Node, subtree topo.NodeID,
 		}
 		m.rec.Rerouted++
 		if dst.Node == node.ID {
-			m.deliverLocal(cp, m.nodes[node.ID].clients[dst.Kind], at.Add(m.Model.LocalRing))
+			m.deliverLocal(m.newBranch(cp), node.clients[dst.Kind], at.Add(m.Model.LocalRing))
 			continue
 		}
 		m.forwardHard(cp, node, at, false)
@@ -341,7 +340,8 @@ func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, a
 			service := model.LinkService(pkt.WireBytes())
 			extra := m.faults.LinkExtra(int(node.ID), port, service, m.nextStart(link))
 			m.metrics.HopDepart(pkt.Seq, node.ID, port, m.Sim.Now())
-			link.Acquire(service+extra, func(start sim.Time) {
+			link.Acquire(service+extra, func() {
+				start := m.Sim.Now()
 				arrival := start.Add(extra).Add(model.AdapterPair[port.Dim])
 				next := m.nodes[m.Torus.ID(m.Torus.Neighbor(node.Coord, port))]
 				// A kill landing inside the occupancy (cut-through: the
@@ -368,7 +368,7 @@ func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, a
 				m.metrics.HopArrive(pkt.Seq, next.ID, arrival)
 				if next.ID == pkt.Dst.Node {
 					avail := arrival.Add(model.ExtraSerialization(pkt.WireBytes()) + model.DstRing)
-					m.deliverLocal(pkt, next.clients[pkt.Dst.Kind], avail)
+					m.deliverLocal(m.newBranch(pkt), next.clients[pkt.Dst.Kind], avail)
 					return
 				}
 				m.forwardHard(pkt, next, arrival, false)
@@ -440,7 +440,6 @@ func (m *Machine) watchdogCheck(ws *waitState) {
 				continue
 			}
 			m.rec.Reissues++
-			fmt.Printf("REISSUE t=%d seq=%d src=%v dst=%v ctr=%d\n", m.Sim.Now(), cp.Seq, cp.Src, cp.Dst, cp.Counter)
 			m.metrics.Reissue(cp.Seq, cp.Dst, cp.Counter, m.Sim.Now())
 			re := new(packet.Packet)
 			*re = *cp

@@ -3,6 +3,8 @@ package machine
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -83,6 +85,40 @@ func TestWatchdogReissuesMidFlightLoss(t *testing.T) {
 		if v != float64(i) {
 			t.Fatalf("word %d = %v after recovery, want %d", i, v, i)
 		}
+	}
+}
+
+// Losses and re-issues are reported through RecoveryStats and the
+// metrics recorder only: a killed-link run writes nothing to stdout.
+func TestRecoveryWritesNothingToStdout(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = saved }()
+
+	m := hardMachine(t, "seed=1,killlink=0:X+@1us,wdog=5us")
+	a := m.NodeAt(topo.C(0, 0, 0)).ID
+	b := m.NodeAt(topo.C(1, 0, 0)).ID
+	for i := 0; i < 40; i++ {
+		m.Client(slice0(a)).Write(slice0(b), 7, i, 256, float64(i))
+	}
+	m.Client(slice0(b)).Wait(7, 40, func() {})
+	m.Sim.Run()
+	os.Stdout = saved
+
+	if rec := m.Recovery(); rec.Lost == 0 || rec.Reissues == 0 {
+		t.Fatalf("the kill should lose and re-issue writes: %v", rec)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 0 {
+		t.Fatalf("recovery wrote %d bytes to stdout:\n%s", len(out), out)
 	}
 }
 

@@ -5,8 +5,9 @@ package sim
 // service time, and requests are served strictly in arrival order.
 //
 // Acquire returns immediately (it only schedules); the supplied callback
-// runs at the simulated time at which service *begins*. The resource is
-// released automatically when the service time elapses.
+// runs at the simulated time at which service *begins*, so it reads its
+// start time from Sim.Now. The resource is released automatically when
+// the service time elapses.
 type Resource struct {
 	sim *Sim
 	// freeAt is the earliest time the resource can begin the next service.
@@ -21,8 +22,10 @@ func NewResource(s *Sim) *Resource { return &Resource{sim: s} }
 
 // Acquire schedules fn to run when the resource becomes free (no earlier
 // than now) and occupies the resource for service starting at that moment.
-// It returns the time at which service begins.
-func (r *Resource) Acquire(service Dur, fn func(start Time)) Time {
+// It returns the time at which service begins, which is also Sim.Now when
+// fn runs. fn is queued as given, with no wrapper, so a caller that binds
+// its callback once schedules without allocating.
+func (r *Resource) Acquire(service Dur, fn func()) Time {
 	start := r.freeAt
 	if now := r.sim.Now(); start < now {
 		start = now
@@ -31,7 +34,7 @@ func (r *Resource) Acquire(service Dur, fn func(start Time)) Time {
 	r.busy += service
 	r.uses++
 	if fn != nil {
-		r.sim.At(start, func() { fn(start) })
+		r.sim.At(start, fn)
 	}
 	return start
 }

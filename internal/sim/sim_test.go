@@ -165,7 +165,7 @@ func TestResourceSerializesFIFO(t *testing.T) {
 	var starts []Time
 	// Three back-to-back acquisitions of 100 ps each at t=0.
 	for i := 0; i < 3; i++ {
-		r.Acquire(100, func(st Time) { starts = append(starts, st) })
+		r.Acquire(100, func() { starts = append(starts, s.Now()) })
 	}
 	s.Run()
 	want := []Time{0, 100, 200}
@@ -212,7 +212,8 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 			at := Time(rng.Intn(500))
 			service := Dur(1 + rng.Intn(50))
 			s.At(at, func() {
-				r.Acquire(service, func(st Time) {
+				r.Acquire(service, func() {
+					st := s.Now()
 					spans = append(spans, span{st, st.Add(service)})
 				})
 			})
