@@ -243,14 +243,15 @@ stage "golden identity (workers 1 vs 8)"
 # The -workers goroutine budget must not change a byte of any experiment
 # report or trace. Run the headline latency experiment, the metrics
 # observability experiment (capturing its chrome-trace export), both
-# fault sweeps, and the analytic fast-path differential report through
-# the real CLI sequentially and fully parallel, strip the wall-clock
-# footers ("[id completed in N.Ns]") and the trace-path status line
-# ("wrote ...") — the only lines that differ by construction — and
-# require identical bytes.
+# fault sweeps, the analytic fast-path differential report, the global
+# all-reduce (table2) and the in-order multicast migration step
+# (migsync) through the real CLI sequentially and fully parallel, strip
+# the wall-clock footers ("[id completed in N.Ns]") and the trace-path
+# status line ("wrote ...") — the only lines that differ by
+# construction — and require identical bytes.
 for w in 1 8; do
 	"$tmpdir/bin/antonbench" -quick -workers "$w" \
-		-trace-out "$tmpdir/golden-trace-$w.json" fig6 metrics faultsweep killsweep fastpath |
+		-trace-out "$tmpdir/golden-trace-$w.json" fig6 metrics faultsweep killsweep fastpath table2 migsync |
 		sed -e '/^\[.* completed in /d' -e '/^wrote /d' >"$tmpdir/golden-$w.out"
 done
 cmp "$tmpdir/golden-1.out" "$tmpdir/golden-8.out"
