@@ -4,7 +4,8 @@
 # hard-failure recovery, checkpoint/restart, the analytic fast-path
 # tier, the HTTP serving tier with its cache-equivalence and stress
 # batteries), the golden-identity gate (every report byte-identical at
-# any -workers setting), the event-kernel perf-trajectory gate against
+# any -workers setting), the 512-node report goldens at -quick, the
+# event-kernel perf-trajectory gate against
 # the committed BENCH_pdes.json, the analytic fast-path gate against
 # BENCH_analytic.json (exact answer checksums plus the >=1000x per-query
 # speedup floor), and the serving-tier load gate against BENCH_serve.json
@@ -256,6 +257,18 @@ for w in 1 8; do
 done
 cmp "$tmpdir/golden-1.out" "$tmpdir/golden-8.out"
 cmp "$tmpdir/golden-trace-1.json" "$tmpdir/golden-trace-8.json"
+
+stage "512-node goldens (-quick)"
+# The expensive 512-node reports (table3, scaling, and figures 11-13),
+# pinned byte for byte at -quick: each runs once through the real CLI,
+# its wall-clock footer stripped as above, and must match
+# cmd/antonbench/testdata/<id>-quick.golden. After an intentional model
+# change, regenerate a golden with the same pipeline redirected into it.
+for id in table3 scaling fig13 fig11 fig12; do
+	"$tmpdir/bin/antonbench" -quick -workers 1 "$id" |
+		sed -e '/^\[.* completed in /d' >"$tmpdir/$id-quick.out"
+	cmp "$tmpdir/$id-quick.out" "cmd/antonbench/testdata/$id-quick.golden"
+done
 
 stage "perf gates (BENCH_pdes.json, BENCH_analytic.json, BENCH_serve.json)"
 # Time the event kernel on the gate workloads and compare wall time

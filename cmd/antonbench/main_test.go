@@ -11,9 +11,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files with the current experiment output")
 
-// TestGoldenReports pins the rendered text of four cheap experiments:
-// the latency survey and breakdown, the global all-reduce (table2) and
-// the in-order multicast migration step (migsync). The reports are fully
+// TestGoldenReports pins the rendered text of the cheap experiments: the
+// latency survey and breakdown (table1, fig5, fig6), the message-count
+// sweep (fig7), the global all-reduce (table2), the in-order multicast
+// migration step (migsync), the half-bandwidth and design ablations, and
+// the soft-fault sweep. The 512-node reports are pinned at -quick by
+// ci.sh against testdata/<id>-quick.golden. The reports are fully
 // deterministic — the simulator has no real-time or
 // random inputs, and sweep parallelism never changes a byte of output —
 // so any diff means the performance model itself changed. After an
@@ -21,7 +24,10 @@ var update = flag.Bool("update", false, "rewrite the golden files with the curre
 //
 //	go test ./cmd/antonbench -run Golden -update
 func TestGoldenReports(t *testing.T) {
-	for _, id := range []string{"fig6", "table1", "table2", "migsync"} {
+	for _, id := range []string{
+		"fig5", "fig6", "fig7", "table1", "table2", "migsync", "halfbw",
+		"ablate-allreduce", "ablate-multicast", "ablate-staging", "faultsweep",
+	} {
 		e, ok := harness.Lookup(id)
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
