@@ -126,9 +126,9 @@ func (c *Cluster) Send(src, dst, bytes int, onRecv func(at sim.Time)) {
 		}
 	}
 	attempts := 0
-	var attempt func()
+	var attempt sim.Func
 	attempt = func() {
-		c.nic[src].Acquire(service, func() {
+		c.nic[src].Acquire(service, sim.Func(func() {
 			start := c.Sim.Now()
 			if c.hard && c.faults.NodeKilledAt(src, start) {
 				// A dead rank issues nothing: the message is lost at the
@@ -152,20 +152,20 @@ func (c *Cluster) Send(src, dst, bytes int, onRecv func(at sim.Time)) {
 				return
 			}
 			arrive := start.Add(m.SendOverhead + m.Latency + sim.Dur(bytes)*m.PsPerByte)
-			c.Sim.At(arrive, func() {
+			c.Sim.At(arrive, sim.Func(func() {
 				if c.hard && c.faults.NodeKilledAt(dst, arrive) {
 					c.rec.Lost++
 					return
 				}
-				c.cpu[dst].Acquire(m.RecvOverhead, func() {
-					c.Sim.At(c.Sim.Now().Add(m.RecvOverhead), func() {
+				c.cpu[dst].Acquire(m.RecvOverhead, sim.Func(func() {
+					c.Sim.At(c.Sim.Now().Add(m.RecvOverhead), sim.Func(func() {
 						if onRecv != nil {
 							onRecv(c.Sim.Now())
 						}
-					})
-				})
-			})
-		})
+					}))
+				}))
+			}))
+		}))
 	}
 	attempt()
 }
@@ -229,7 +229,7 @@ func (c *Cluster) AllReduce(bytes int, done func(at sim.Time)) {
 			}
 		})
 		proceed := func() {
-			c.Sim.After(c.Model.CollectiveOverhead, func() { stage(rank, k+1) })
+			c.Sim.After(c.Model.CollectiveOverhead, sim.Func(func() { stage(rank, k+1) }))
 		}
 		if recvd[rank][k] > 0 {
 			recvd[rank][k]--
@@ -311,7 +311,7 @@ func (c *Cluster) StagedNeighborExchange(bytesPerMsg int, done func(at sim.Time)
 			recvd[rank] -= 2
 			// Between stages the node recombines received data for
 			// forwarding: the marshalling cost staged communication pays.
-			c.Sim.After(c.Model.MarshalPerStage, func() { stage(rank, k+1) })
+			c.Sim.After(c.Model.MarshalPerStage, sim.Func(func() { stage(rank, k+1) }))
 		}
 		if recvd[rank] >= 2 {
 			proceed()

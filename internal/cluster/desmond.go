@@ -74,7 +74,7 @@ func (d *Desmond) round(k int, done func(at sim.Time)) {
 		return
 	}
 	d.groupAllToAll(func(sim.Time) {
-		d.C.Sim.After(d.C.Model.MarshalPerStage, func() { d.round(k+1, done) })
+		d.C.Sim.After(d.C.Model.MarshalPerStage, sim.Func(func() { d.round(k+1, done) }))
 	})
 }
 
@@ -148,7 +148,7 @@ func (d *Desmond) groupAllToAll(done func(at sim.Time)) {
 func (d *Desmond) ThermostatComm(done func(at sim.Time)) {
 	d.C.AllReduce(32, func(sim.Time) {
 		d.C.AllReduce(32, func(sim.Time) {
-			d.C.Sim.After(d.ThermoSoftware, func() { done(d.C.Sim.Now()) })
+			d.C.Sim.After(d.ThermoSoftware, sim.Func(func() { done(d.C.Sim.Now()) }))
 		})
 	})
 }

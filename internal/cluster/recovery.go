@@ -71,7 +71,7 @@ func (c *Cluster) watchCollective(pending func() bool, explained func() bool, de
 	}
 	deadline := c.faults.WatchdogDeadline()
 	checks := 0
-	var check func()
+	var check sim.Func
 	check = func() {
 		if !pending() {
 			return

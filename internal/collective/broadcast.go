@@ -45,7 +45,7 @@ func (b *Broadcast) Run(root topo.NodeID, payload []float64, done func(at sim.Ti
 	remaining := nodes - 1
 	if remaining == 0 {
 		if done != nil {
-			m.Sim.After(0, func() { done(m.Sim.Now()) })
+			m.Sim.After(0, sim.Func(func() { done(m.Sim.Now()) }))
 		}
 		return
 	}

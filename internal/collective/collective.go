@@ -210,7 +210,7 @@ func (ar *AllReduce) round(n topo.NodeID, d topo.Dim, done func(sim.Time)) {
 			}
 		}
 		cost := ar.cfg.RoundOverhead + sim.Dur(ar.cfg.Values*ringN)*ar.cfg.PerValueAdd
-		m.Sim.After(cost, func() {
+		m.Sim.After(cost, sim.Func(func() {
 			if ar.rec != nil {
 				ar.roundLeft[d]--
 				if ar.roundLeft[d] == 0 {
@@ -222,7 +222,7 @@ func (ar *AllReduce) round(n topo.NodeID, d topo.Dim, done func(sim.Time)) {
 				return
 			}
 			ar.share(n, done)
-		})
+		}))
 	})
 }
 

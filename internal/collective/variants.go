@@ -97,7 +97,7 @@ func (b *ButterflyAllReduce) stage(n topo.NodeID, d topo.Dim, k int, done func(s
 			sum[i] += vals[i]
 		}
 		cost := b.cfg.RoundOverhead + sim.Dur(2*b.cfg.Values)*b.cfg.PerValueAdd
-		m.Sim.After(cost, func() { b.stage(n, d, k+1, done) })
+		m.Sim.After(cost, sim.Func(func() { b.stage(n, d, k+1, done) }))
 	})
 }
 
@@ -188,12 +188,12 @@ func (a *AccumAllReduce) round(n topo.NodeID, d topo.Dim, done func(sim.Time)) {
 		copy(a.partial[n], sum)
 		// Reading the result back across the ring costs another round trip.
 		cost := a.cfg.RoundOverhead + a.m.Model.AccumPoll
-		m.Sim.After(cost, func() {
+		m.Sim.After(cost, sim.Func(func() {
 			if d < topo.Z {
 				a.round(n, d+1, done)
 				return
 			}
 			done(m.Sim.Now())
-		})
+		}))
 	})
 }

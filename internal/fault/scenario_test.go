@@ -92,7 +92,7 @@ func deadThenRecovered() string {
 		// Writes traverse one link in order, so the (k+1)th counter
 		// increment is the kth ping's arrival.
 		m.Client(dst).Wait(0, uint64(k+1), func() { results[k].arrive = s.Now() })
-		s.At(launch, func() { m.Client(src).Write(dst, 0, 0, 0) })
+		s.At(launch, sim.Func(func() { m.Client(src).Write(dst, 0, 0, 0) }))
 	}
 	s.Run()
 	for k, r := range results {

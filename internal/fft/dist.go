@@ -169,11 +169,11 @@ func (d *Dist) runStage(id topo.NodeID, c topo.Coord, stage int, green *Grid, fi
 			// FFT z, green multiply, and IFFT z all happen locally.
 			cost *= 2
 		}
-		d.m.Sim.After(cost, func() {
+		d.m.Sim.After(cost, sim.Func(func() {
 			d.compute(id, c, stage, green)
 			d.emit(id, c, stage)
 			d.runStage(id, c, nextStage(stage), green, finish)
-		})
+		}))
 	})
 }
 

@@ -130,7 +130,7 @@ func stagedNeighborExchange(m *machine.Machine, bytesPerStage int, marshal sim.D
 		}
 		// By symmetry this node receives what it sends.
 		m.Client(packet.Client{Node: n, Kind: packet.Slice0}).Wait(packet.CounterID(12+k), uint64(expect), func() {
-			s.After(marshal, func() { stage(c, k+1) })
+			s.After(marshal, sim.Func(func() { stage(c, k+1) }))
 		})
 	}
 	tor.ForEach(func(c topo.Coord) { stage(c, 0) })

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"testing"
+	"unsafe"
 
 	"anton/internal/packet"
 	"anton/internal/sim"
@@ -12,11 +13,22 @@ import (
 // allocates on its own.
 var raceEnabled bool
 
+// A packet-branch record fits one 64-byte cache line: every event on the
+// packet path starts by loading it, usually after it has sat in a deep
+// queue, so a record spanning two lines costs a second miss.
+func TestBranchRecordFitsCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(branch{}); size > 64 {
+		t.Errorf("branch record is %d bytes, want at most 64", size)
+	}
+}
+
 // The packet path allocates nothing per hop, delivery or commit: once the
 // branch free list and the event queue have warmed up, a counted write
 // run to completion allocates only its packet, and a multicast write's
 // deliveries share the sender's packet, so fanning out to more
-// destinations adds no allocation.
+// destinations adds no allocation. With the free list empty, the write
+// allocates its record too, and nothing else: the record is its own
+// event handler.
 func TestPacketPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -31,6 +43,13 @@ func TestPacketPathAllocations(t *testing.T) {
 		s.Run()
 	}); got > 1 {
 		t.Errorf("single-hop counted write: %v allocations, want at most 1 (the packet)", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		m.free = m.free[:0]
+		src.Write(dst, 0, 0, 0)
+		s.Run()
+	}); got != 2 {
+		t.Errorf("single-hop counted write with an empty free list: %v allocations, want 2 (the packet and its record)", got)
 	}
 
 	// Pattern 1 reaches one client one hop away; pattern 2 runs along the

@@ -3,7 +3,6 @@ package machine
 import (
 	"anton/internal/packet"
 	"anton/internal/sim"
-	"anton/internal/topo"
 )
 
 // stage is what a branch record does when it next fires.
@@ -21,9 +20,14 @@ const (
 // branch is one in-flight branch of a packet on the static transport: a
 // unicast packet from injection to commit, or one branch of a multicast
 // packet (a link subtree up to its next fan-out, or one local delivery).
-// It holds the operands of its next stage and is scheduled through fire,
-// which is bound once when the record is allocated, so moving a packet
-// along allocates nothing.
+// It holds the operands of its next stage and is its own event handler,
+// so moving a packet along allocates nothing and firing an event loads
+// only the record.
+//
+// The record fits one 64-byte cache line, the first thing every event
+// touches after sitting in a deep queue: the port is its index into
+// topo.Ports, and dur holds whichever stage-specific duration the next
+// stage reads.
 //
 // A record is scheduled at most once at a time; while an in-order commit
 // waits in its pair's ledger the record is parked there instead. It
@@ -32,17 +36,16 @@ const (
 // multicast node.
 type branch struct {
 	m    *Machine
-	fire func()
-	st   stage
 	pkt  *packet.Packet
+	node *Node   // stInject: the source node; stDepart, stCross: the node the header is at
+	dst  *Client // stReceive, stAvail, stCommit: the destination client
 
-	node *Node     // stInject: the source node; stDepart, stCross: the node the header is at
-	port topo.Port // stDepart, stCross: the outgoing port
-	dst  *Client   // stReceive, stAvail, stCommit: the destination client
+	head  sim.Time // stCross: when the header reached the egress
+	dur   sim.Dur  // stInject: the injection latency; stCross: the link service time
+	extra sim.Dur  // stCross: the fault layer's addition to the link occupancy
 
-	head           sim.Time // stCross: when the header reached the egress
-	lat            sim.Dur  // stInject: the injection latency
-	service, extra sim.Dur  // stCross: the link occupancy and its fault-layer part
+	st   stage
+	port uint8 // stDepart, stCross: the outgoing port's index into topo.Ports
 }
 
 // newBranch returns a record for pkt, from the free list when it has one.
@@ -54,7 +57,6 @@ func (m *Machine) newBranch(pkt *packet.Packet) *branch {
 		m.free = m.free[:n-1]
 	} else {
 		b = &branch{m: m}
-		b.fire = b.run
 	}
 	b.pkt = pkt
 	return b
@@ -67,8 +69,8 @@ func (m *Machine) release(b *branch) {
 	m.free = append(m.free, b)
 }
 
-// run dispatches b's current stage; it is the function fire is bound to.
-func (b *branch) run() {
+// Fire dispatches b's current stage.
+func (b *branch) Fire() {
 	m := b.m
 	switch b.st {
 	case stInject:

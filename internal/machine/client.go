@@ -220,7 +220,7 @@ func (f *FIFO) Pop(fn func(*packet.Packet)) {
 		pkt := f.queue[0]
 		f.queue = f.queue[1:]
 		f.admitBlocked()
-		f.m.Sim.After(f.m.Model.FIFOPoll, func() { fn(pkt) })
+		f.m.Sim.After(f.m.Model.FIFOPoll, sim.Func(func() { fn(pkt) }))
 		return
 	}
 	f.waiter = fn
@@ -231,7 +231,7 @@ func (f *FIFO) deliver(pkt *packet.Packet) {
 	if f.waiter != nil {
 		fn := f.waiter
 		f.waiter = nil
-		f.m.Sim.After(f.m.Model.FIFOPoll, func() { fn(pkt) })
+		f.m.Sim.After(f.m.Model.FIFOPoll, sim.Func(func() { fn(pkt) }))
 		return
 	}
 	if len(f.queue) >= f.m.Model.FIFOCapacity {

@@ -100,7 +100,7 @@ type ordDst struct {
 
 type ordPending struct {
 	avail sim.Time
-	fn    func()
+	h     sim.Handler
 }
 
 // ticket draws the next in-order ticket for (pkt.Src, dst). Tickets are
@@ -125,16 +125,16 @@ func ticketOf(pkt *packet.Packet, dst packet.Client) uint64 {
 	panic("machine: in-order packet without a ticket")
 }
 
-// commitInOrder schedules fn no earlier than avail and no earlier than
+// commitInOrder schedules h no earlier than avail and no earlier than
 // every previously sent in-order packet's commit on the same pair.
-func (m *Machine) commitInOrder(pkt *packet.Packet, dst packet.Client, avail sim.Time, fn func()) {
+func (m *Machine) commitInOrder(pkt *packet.Packet, dst packet.Client, avail sim.Time, h sim.Handler) {
 	key := pairKey{pkt.Src, dst}
 	st, ok := m.ordDst[key]
 	if !ok {
 		st = &ordDst{pending: make(map[uint64]ordPending)}
 		m.ordDst[key] = st
 	}
-	st.pending[ticketOf(pkt, dst)] = ordPending{avail: avail, fn: fn}
+	st.pending[ticketOf(pkt, dst)] = ordPending{avail: avail, h: h}
 	for {
 		p, ready := st.pending[st.committed]
 		if !ready {
@@ -150,7 +150,7 @@ func (m *Machine) commitInOrder(pkt *packet.Packet, dst packet.Client, avail sim
 			at = now
 		}
 		st.lastAt = at
-		m.Sim.At(at, p.fn)
+		m.Sim.At(at, p.h)
 	}
 }
 
@@ -296,8 +296,8 @@ func (m *Machine) send(src *Client, pkt *packet.Packet) {
 	// inject a packet.
 	lat += m.faults.NodeSlowExtra(int(src.Addr.Node), lat)
 	b := m.newBranch(pkt)
-	b.st, b.node, b.lat = stInject, m.nodes[src.Addr.Node], lat
-	src.send.Acquire(gap, b.fire)
+	b.st, b.node, b.dur = stInject, m.nodes[src.Addr.Node], lat
+	src.send.Acquire(gap, b)
 }
 
 // inject runs when the source's injection port begins serving b's
@@ -319,7 +319,7 @@ func (m *Machine) inject(b *branch) {
 		m.OnSend(pkt, start)
 	}
 	m.stats.send(node.ID, pkt.WireBytes())
-	inject := start.Add(b.lat)
+	inject := start.Add(b.dur)
 	if m.metrics != nil {
 		m.metrics.PacketSend(pkt.Seq, pkt.Src, start, inject)
 	}
@@ -341,16 +341,16 @@ func (m *Machine) inject(b *branch) {
 // hop schedules b's header at node's egress toward port: head is the
 // time it reaches the egress side of node's on-chip network.
 func (m *Machine) hop(b *branch, node *Node, port topo.Port, head sim.Time) {
-	b.st, b.node, b.port, b.head = stDepart, node, port, head
-	m.Sim.At(head, b.fire)
+	b.st, b.node, b.port, b.head = stDepart, node, uint8(topo.PortIndex(port)), head
+	m.Sim.At(head, b)
 }
 
 // depart runs when b's header reaches the egress: the packet queues for
 // the link.
 func (m *Machine) depart(b *branch) {
-	pkt, node, port := b.pkt, b.node, b.port
+	pkt, node, port := b.pkt, b.node, topo.Ports[b.port]
 	if m.hard && pkt.Multicast != packet.NoMulticast {
-		if next := node.nbr[topo.PortIndex(port)].ID; m.linkDeadNow(topo.LinkID{Node: node.ID, Port: port}) || m.nodeDeadNow(next) {
+		if next := node.nbr[b.port].ID; m.linkDeadNow(topo.LinkID{Node: node.ID, Port: port}) || m.nodeDeadNow(next) {
 			// The branch is already known dead: fall back to unicast
 			// copies over the recomputed routes for every destination
 			// in the subtree, instead of losing them and paying a
@@ -360,7 +360,7 @@ func (m *Machine) depart(b *branch) {
 			return
 		}
 	}
-	link := node.links[topo.PortIndex(port)]
+	link := node.links[b.port]
 	service := m.Model.LinkService(pkt.WireBytes())
 	// Fault layer: CRC-detected flit corruption repaired by link-level
 	// retransmission, transient stalls, and scheduled outages all extend
@@ -369,19 +369,19 @@ func (m *Machine) depart(b *branch) {
 	if m.metrics != nil {
 		m.metrics.HopDepart(pkt.Seq, node.ID, port, m.Sim.Now())
 	}
-	b.st, b.service, b.extra = stCross, service, extra
-	link.Acquire(service+extra, b.fire)
+	b.st, b.dur, b.extra = stCross, service, extra
+	link.Acquire(service+extra, b)
 }
 
 // cross runs when the link begins carrying b's packet: the header
 // reaches the neighbour, where the packet is delivered, fans out, or
 // takes its next hop.
 func (m *Machine) cross(b *branch) {
-	pkt, node, port := b.pkt, b.node, b.port
+	pkt, node, port := b.pkt, b.node, topo.Ports[b.port]
 	start := m.Sim.Now()
-	occupancy := b.service + b.extra
+	occupancy := b.dur + b.extra
 	arrival := start.Add(b.extra).Add(m.Model.AdapterPair[port.Dim])
-	next := node.nbr[topo.PortIndex(port)]
+	next := node.nbr[b.port]
 	mc := pkt.Multicast != packet.NoMulticast
 	if m.hard && mc {
 		// A kill landing inside the occupancy, or the next node dying
@@ -461,7 +461,7 @@ func (m *Machine) fanOut(b *branch, node *Node, base sim.Time, atSource bool) {
 // dst: at is when the packet reaches dst's delivery port.
 func (m *Machine) deliverLocal(b *branch, dst *Client, at sim.Time) {
 	b.st, b.dst = stReceive, dst
-	m.Sim.At(at, b.fire)
+	m.Sim.At(at, b)
 }
 
 // receive runs when b's packet reaches its destination client: it
@@ -474,7 +474,7 @@ func (m *Machine) receive(b *branch) {
 		return
 	}
 	b.st = stAvail
-	dst.recv.Acquire(m.Model.ClientService(dst.Addr.Kind, pkt.WireBytes()), b.fire)
+	dst.recv.Acquire(m.Model.ClientService(dst.Addr.Kind, pkt.WireBytes()), b)
 }
 
 // available runs when the delivery port begins serving b's packet: it
@@ -491,10 +491,10 @@ func (m *Machine) available(b *branch) {
 	avail := start.Add(lat)
 	b.st = stCommit
 	if pkt.InOrder {
-		m.commitInOrder(pkt, dst.Addr, avail, b.fire)
+		m.commitInOrder(pkt, dst.Addr, avail, b)
 		return
 	}
-	m.Sim.At(avail, b.fire)
+	m.Sim.At(avail, b)
 }
 
 // resolveMulticast walks the installed multicast tables from node n and

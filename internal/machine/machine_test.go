@@ -123,7 +123,7 @@ func TestAccumulationOrderIndependence(t *testing.T) {
 			}
 			v := float64(i)
 			delay := sim.Dur(rng.Intn(1000)) * sim.Ns
-			s.After(delay, func() { m.Client(src).Accumulate(acc, 0, 4, 8, v) })
+			s.After(delay, sim.Func(func() { m.Client(src).Accumulate(acc, 0, 4, 8, v) }))
 		}
 		s.Run()
 		return m.Client(acc).Mem(4, 1)[0]

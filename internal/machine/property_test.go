@@ -122,7 +122,7 @@ func propRun(t *testing.T, work []propSend, pairs [][2]topo.NodeID, forceOrder i
 			inOrder = true
 		}
 		src := m.Client(packet.Client{Node: w.src, Kind: packet.Slice0})
-		s.At(w.at, func() {
+		s.At(w.at, sim.Func(func() {
 			pkt := &packet.Packet{
 				Kind: w.kind, Multicast: w.mc, Counter: w.ctr,
 				Bytes: w.bytes, InOrder: inOrder, Tag: w.tag,
@@ -131,7 +131,7 @@ func propRun(t *testing.T, work []propSend, pairs [][2]topo.NodeID, forceOrder i
 				pkt.Dst = w.dst
 			}
 			src.Send(pkt)
-		})
+		}))
 	}
 	s.Run()
 	return m, sent, commits
@@ -299,14 +299,14 @@ func TestLedgerReconcileBound(t *testing.T) {
 		}
 	}
 	var got []commitRec
-	record := func(ticket uint64) func() {
+	record := func(ticket uint64) sim.Func {
 		return func() { got = append(got, commitRec{ticket, s.Now()}) }
 	}
 	// Ticket 1 arrives first (avail 110ns), ticket 2 next with an even
 	// earlier bound (105ns), ticket 0 last (avail 150ns, already past at
 	// arrival) — all must wait for ticket 0 and commit together.
 	arrive := func(at sim.Time, ticket uint64, avail sim.Time) {
-		s.At(at, func() { m.commitInOrder(mk(ticket), dst, avail, record(ticket)) })
+		s.At(at, sim.Func(func() { m.commitInOrder(mk(ticket), dst, avail, record(ticket)) }))
 	}
 	arrive(100*sim.Time(sim.Ns), 1, 110*sim.Time(sim.Ns))
 	arrive(120*sim.Time(sim.Ns), 2, 105*sim.Time(sim.Ns))

@@ -152,10 +152,10 @@ func (m *Machine) setupHardFaults() {
 	m.applyEpoch(0)
 	for _, t := range epochs {
 		t := t
-		m.Sim.At(t, func() {
+		m.Sim.At(t, sim.Func(func() {
 			m.rec.Epochs++
 			m.applyEpoch(t)
-		})
+		}))
 	}
 }
 
@@ -219,7 +219,7 @@ func (m *Machine) losePacket(pkt *packet.Packet, dst packet.Client, reason lossR
 	m.rec.Lost++
 	m.metrics.PacketLost(pkt.Seq, dst, int(reason), now)
 	if pkt.InOrder {
-		m.commitInOrder(pkt, dst, now, func() {})
+		m.commitInOrder(pkt, dst, now, sim.Func(func() {}))
 	}
 	if pkt.Kind == packet.Message {
 		// FIFO messages carry no counter: nothing can observe the loss
@@ -313,7 +313,7 @@ func (m *Machine) mcReroute(pkt *packet.Packet, node *Node, subtree topo.NodeID,
 // network choosing an egress port; atSource selects the injection-side
 // ring latency for the first hop (matching the static path's timing).
 func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, atSource bool) {
-	m.Sim.At(ringAt, func() {
+	m.Sim.At(ringAt, sim.Func(func() {
 		model := &m.Model
 		if m.nodeDeadNow(node.ID) {
 			// The node died under a transiting packet.
@@ -336,11 +336,11 @@ func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, a
 			head = ringAt.Add(model.Through[port.Dim])
 		}
 		link := node.links[topo.PortIndex(port)]
-		m.Sim.At(head, func() {
+		m.Sim.At(head, sim.Func(func() {
 			service := model.LinkService(pkt.WireBytes())
 			extra := m.faults.LinkExtra(int(node.ID), port, service, m.nextStart(link))
 			m.metrics.HopDepart(pkt.Seq, node.ID, port, m.Sim.Now())
-			link.Acquire(service+extra, func() {
+			link.Acquire(service+extra, sim.Func(func() {
 				start := m.Sim.Now()
 				arrival := start.Add(extra).Add(model.AdapterPair[port.Dim])
 				next := m.nodes[m.Torus.ID(m.Torus.Neighbor(node.Coord, port))]
@@ -372,9 +372,9 @@ func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, a
 					return
 				}
 				m.forwardHard(pkt, next, arrival, false)
-			})
-		})
-	})
+			}))
+		}))
+	}))
 }
 
 // waitGuarded registers a counter wait, adding the end-to-end watchdog
@@ -400,7 +400,7 @@ func (m *Machine) waitGuarded(c *Client, ctr packet.CounterID, target uint64, po
 }
 
 func (m *Machine) armWatchdog(ws *waitState) {
-	m.Sim.After(m.wdog, func() { m.watchdogCheck(ws) })
+	m.Sim.After(m.wdog, sim.Func(func() { m.watchdogCheck(ws) }))
 }
 
 // watchdogCheck runs at a guarded wait's deadline. A wait that fired in

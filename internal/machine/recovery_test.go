@@ -412,12 +412,12 @@ func TestRecoveryRunUntilStress(t *testing.T) {
 			}
 			expected[key]++
 			src := m.Client(packet.Client{Node: srcNode, Kind: packet.Slice0})
-			s.At(at, func() {
+			s.At(at, sim.Func(func() {
 				src.Send(&packet.Packet{
 					Kind: packet.Write, Dst: dst, Multicast: packet.NoMulticast,
 					Counter: ctr, Addr: 8 * (i % 32), Bytes: bytes, InOrder: inOrder, Tag: tag,
 				})
-			})
+			}))
 		}
 		// Register a wait per (client, counter) at its exactly reachable
 		// target; under kill plans the watchdog completes stalled waits by

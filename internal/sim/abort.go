@@ -7,10 +7,10 @@ package sim
 // without ever leaving partially committed state behind. The kernel
 // supports this with a polled hook rather than preemption: the abort check
 // runs only between event batches, so every event that has fired was
-// committed in the canonical (time, seq) order and none is ever
-// half-executed. An aborted run is therefore a clean prefix of the run
-// that would have happened; the only non-determinism is *where* the
-// prefix ends (the poll races wall-clock cancellation), which is why
+// committed in the canonical order (time, then scheduling order) and none
+// is ever half-executed. An aborted run is therefore a clean prefix of
+// the run that would have happened; the only non-determinism is *where*
+// the prefix ends (the poll races wall-clock cancellation), which is why
 // aborted runs must be discarded, never cached or reported. The serving
 // tier enforces exactly that: a cancelled or timed-out run aborts its
 // in-flight cache entry.

@@ -6,7 +6,7 @@ import "testing"
 // the next, total events, one per tick.
 func chain(s *Sim, total int) *int {
 	fired := 0
-	var step func()
+	var step Func
 	step = func() {
 		fired++
 		if fired < total {
@@ -83,7 +83,7 @@ func TestAbortedRunIsCleanPrefix(t *testing.T) {
 		s := New()
 		var log []Time
 		for i := 0; i < 300; i++ {
-			s.After(Dur(i+1)*Ns, func() { log = append(log, s.Now()) })
+			s.After(Dur(i+1)*Ns, Func(func() { log = append(log, s.Now()) }))
 		}
 		if abortAfter > 0 {
 			s.SetAbortBatch(abortAfter)

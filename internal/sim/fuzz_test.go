@@ -106,32 +106,32 @@ func fuzzTrajectory(t *testing.T, seed uint64, topoSel, faultSel uint8) string {
 			inOrder := rng.Intn(2) == 0
 			expected[ctrKey{dst, ctr}]++
 			src := m.Client(packet.Client{Node: srcNode, Kind: packet.Slice0})
-			s.At(at, func() {
+			s.At(at, sim.Func(func() {
 				src.Send(&packet.Packet{
 					Kind: packet.Write, Dst: dst, Multicast: packet.NoMulticast,
 					Counter: ctr, Addr: 64 * i, Bytes: 32, InOrder: inOrder, Tag: tag,
 				})
-			})
+			}))
 		case 1: // accumulation
 			dst := packet.Client{Node: topo.NodeID(rng.Intn(nodes)), Kind: packet.Accum(rng.Intn(2))}
 			ctr := packet.CounterID(3 + rng.Intn(2))
 			expected[ctrKey{dst, ctr}]++
 			src := m.Client(packet.Client{Node: srcNode, Kind: packet.Slice1})
-			s.At(at, func() {
+			s.At(at, sim.Func(func() {
 				src.Send(&packet.Packet{
 					Kind: packet.Accumulate, Dst: dst, Multicast: packet.NoMulticast,
 					Counter: ctr, Addr: 8 * (i % 16), Bytes: 24, Payload: []float64{float64(i)}, Tag: tag,
 				})
-			})
+			}))
 		case 2: // message into the destination slice's FIFO
 			dst := packet.Client{Node: topo.NodeID(rng.Intn(nodes)), Kind: packet.Slice(rng.Intn(4))}
 			src := m.Client(packet.Client{Node: srcNode, Kind: packet.Slice2})
-			s.At(at, func() {
+			s.At(at, sim.Func(func() {
 				src.Send(&packet.Packet{
 					Kind: packet.Message, Dst: dst, Multicast: packet.NoMulticast,
 					Counter: packet.NoCounter, Bytes: 64, Tag: tag,
 				})
-			})
+			}))
 		case 3: // X-ring multicast counted write, sometimes in order
 			c := tor.Coord(srcNode)
 			ctr := packet.CounterID(5)
@@ -144,12 +144,12 @@ func fuzzTrajectory(t *testing.T, seed uint64, topoSel, faultSel uint8) string {
 				expected[ctrKey{packet.Client{Node: peer, Kind: packet.Slice1}, ctr}]++
 			}
 			src := m.Client(packet.Client{Node: srcNode, Kind: packet.Slice0})
-			s.At(at, func() {
+			s.At(at, sim.Func(func() {
 				src.Send(&packet.Packet{
 					Kind: packet.Write, Multicast: packet.MulticastID(c.X),
 					Counter: ctr, Addr: 4096, Bytes: 16, InOrder: inOrder, Tag: tag,
 				})
-			})
+			}))
 		case 4: // chained handler: a wait that sends onward when it fires
 			dst := packet.Client{Node: topo.NodeID(rng.Intn(nodes)), Kind: packet.Slice3}
 			ctr := packet.CounterID(6)
@@ -163,19 +163,19 @@ func fuzzTrajectory(t *testing.T, seed uint64, topoSel, faultSel uint8) string {
 					Counter: packet.NoCounter, Bytes: 8, Tag: tag + "-relay",
 				})
 			})
-			s.At(at, func() {
+			s.At(at, sim.Func(func() {
 				src.Send(&packet.Packet{
 					Kind: packet.Write, Dst: dst, Multicast: packet.NoMulticast,
 					Counter: ctr, Addr: 0, Bytes: 32, Tag: tag,
 				})
-			})
+			}))
 		}
 	}
 	// Drain one FIFO with the polling loop so Pop interleaves with
 	// deliveries.
 	drainNode := topo.NodeID(int(seed) % nodes)
 	f := m.Client(packet.Client{Node: drainNode, Kind: packet.Slice0}).FIFO()
-	var pump func()
+	var pump sim.Func
 	pump = func() {
 		f.Pop(func(pkt *packet.Packet) {
 			fmt.Fprintf(&log, "F %s\n", pkt.Tag)

@@ -29,7 +29,7 @@ func TestEventOrderInvariants(t *testing.T) {
 		schedule = func(at Time, depth int) {
 			idx := perTime[at]
 			perTime[at]++
-			s.At(at, func() {
+			s.At(at, Func(func() {
 				log = append(log, fired{at: at, order: idx})
 				if depth < 3 && rng.Intn(3) == 0 {
 					// Nested scheduling: same instant (exercises the
@@ -37,7 +37,7 @@ func TestEventOrderInvariants(t *testing.T) {
 					delay := Dur(rng.Intn(5)) * Ns
 					schedule(s.Now().Add(delay), depth+1)
 				}
-			})
+			}))
 		}
 		for i := 0; i < 300; i++ {
 			schedule(Time(rng.Intn(50))*Time(Ns), 0)
@@ -87,16 +87,16 @@ func TestSameInstantFIFO(t *testing.T) {
 	at := Time(10 * Ns)
 	for i := 0; i < 20; i++ {
 		i := i
-		s.At(at, func() { got = append(got, i) })
+		s.At(at, Func(func() { got = append(got, i) }))
 	}
 	// An event before the burst that schedules three more events at the
 	// burst instant: they must fire after the 20 already queued.
-	s.At(5*Time(Ns), func() {
+	s.At(5*Time(Ns), Func(func() {
 		for j := 20; j < 23; j++ {
 			j := j
-			s.At(at, func() { got = append(got, j) })
+			s.At(at, Func(func() { got = append(got, j) }))
 		}
-	})
+	}))
 	s.Run()
 	if len(got) != 23 {
 		t.Fatalf("fired %d events, want 23", len(got))

@@ -3,8 +3,8 @@ package sim
 import "math/bits"
 
 // radixQueue is the kernel's event queue: a monotone radix queue over the
-// canonical (at, seq) order. It is exact only because the kernel never
-// schedules before now.
+// canonical order, time and then scheduling order. It is exact only
+// because the kernel never schedules before now.
 //
 // last is the time of the event about to fire (or of the one that fired
 // last). Every pending event has at >= last and lives in bucket
@@ -14,12 +14,13 @@ import "math/bits"
 // pops FIFO. When it empties, the first non-empty bucket is redistributed
 // around its minimum time, which becomes last; each of its events moves to
 // a strictly lower bucket, and its vacated slots are cleared so fired
-// closures can be collected.
+// handlers can be collected.
 //
-// The order is exact because every bucket is appended in seq order: a push
-// carries a fresh seq, larger than any pending one, and a redistribution
-// moves one bucket, in order, into buckets that are all empty. So bucket 0,
-// whose events share one instant, pops in seq order.
+// The order is exact because every bucket is appended in scheduling order:
+// a push comes after every pending event in that order, and a
+// redistribution moves one bucket, in order, into buckets that are all
+// empty. So bucket 0, whose events share one instant, pops in scheduling
+// order, and no event needs to store its place in it.
 //
 // Storage: bucket slices keep their capacity between bursts, so the queue
 // retains about the sum of the buckets' high-water marks. No bucket ever

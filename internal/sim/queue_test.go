@@ -5,9 +5,22 @@ import (
 	"testing"
 )
 
+// seqHandler is the handler the queue tests push: it carries the push's
+// sequence number, so every pop can be checked against the reference
+// heap's (at, seq) order. The kernel itself stores no sequence number.
+type seqHandler uint64
+
+func (seqHandler) Fire() {}
+
+// refEvent is an event as the reference heap orders it.
+type refEvent struct {
+	at  Time
+	seq uint64
+}
+
 // before is the canonical event order: timestamp, then scheduling order
 // (FIFO among same-instant events).
-func (e *event) before(o *event) bool {
+func (e *refEvent) before(o *refEvent) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
@@ -16,9 +29,9 @@ func (e *event) before(o *event) bool {
 
 // eventHeap is a binary min-heap over the canonical order: the reference
 // queue the radix queue is checked against.
-type eventHeap []event
+type eventHeap []refEvent
 
-func (h *eventHeap) push(e event) {
+func (h *eventHeap) push(e refEvent) {
 	*h = append(*h, e)
 	s := *h
 	i := len(s) - 1
@@ -32,12 +45,11 @@ func (h *eventHeap) push(e event) {
 	}
 }
 
-func (h *eventHeap) pop() event {
+func (h *eventHeap) pop() refEvent {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{}
 	*h = s[:n]
 	h.siftDown(0)
 	return top
@@ -85,9 +97,8 @@ func (p *queuePair) push(at Time) {
 		at = p.now
 	}
 	p.seq++
-	e := event{at: at, seq: p.seq}
-	p.rq.push(e)
-	p.h.push(e)
+	p.rq.push(event{at: at, h: seqHandler(p.seq)})
+	p.h.push(refEvent{at: at, seq: p.seq})
 	p.lastAt = at
 }
 
@@ -96,8 +107,8 @@ func (p *queuePair) pop() {
 		return
 	}
 	got, want := p.rq.pop(), p.h.pop()
-	if got.at != want.at || got.seq != want.seq {
-		p.t.Fatalf("pop = (%d, %d), heap pops (%d, %d)", got.at, got.seq, want.at, want.seq)
+	if seq := uint64(got.h.(seqHandler)); got.at != want.at || seq != want.seq {
+		p.t.Fatalf("pop = (%d, %d), heap pops (%d, %d)", got.at, seq, want.at, want.seq)
 	}
 	p.now = got.at
 }
@@ -198,14 +209,14 @@ func FuzzEventQueue(f *testing.F) {
 func TestRunUntilPeekKeepsQueueFloor(t *testing.T) {
 	s := New()
 	var got []Time
-	s.At(1000, func() { got = append(got, s.Now()) })
+	s.At(1000, Func(func() { got = append(got, s.Now()) }))
 	if s.RunUntil(500) {
 		t.Fatal("RunUntil(500) drained with an event at 1000 pending")
 	}
 	if s.Now() != 500 {
 		t.Fatalf("now = %d after RunUntil(500), want 500", s.Now())
 	}
-	s.At(600, func() { got = append(got, s.Now()) })
+	s.At(600, Func(func() { got = append(got, s.Now()) }))
 	s.Run()
 	if len(got) != 2 || got[0] != 600 || got[1] != 1000 {
 		t.Fatalf("fired at %v, want [600 1000]", got)
@@ -261,14 +272,14 @@ func treeWorkload(s *Sim, seed int64, n int) *[]int {
 	spawn = func(d Dur, depth int) {
 		id++
 		me := id
-		s.After(d, func() {
+		s.After(d, Func(func() {
 			*log = append(*log, me)
 			for k := 0; k < 2; k++ {
 				if depth < 4 && rng.Intn(10) < 6 {
 					spawn(Dur(rng.Intn(3))*Dur(rng.Int63n(int64(40*Ns))), depth+1)
 				}
 			}
-		})
+		}))
 	}
 	for i := 0; i < n; i++ {
 		spawn(Dur(rng.Int63n(int64(100*Ns))), 0)
@@ -306,13 +317,13 @@ func retained(q *radixQueue) int {
 
 // Repeated identical bursts must not grow the queue's retained storage
 // past the ceiling its doc comment states, and every slot a fired event
-// vacated must be cleared so its closure can be collected.
+// vacated must be cleared so its handler can be collected.
 func TestRadixQueueRetainedBounded(t *testing.T) {
 	delays := deepDelays(rand.New(rand.NewSource(2)), 1<<12)
 	s := New()
 	peak, i := 0, 0
-	var hop func(left int) func()
-	hop = func(left int) func() {
+	var hop func(left int) Func
+	hop = func(left int) Func {
 		return func() {
 			peak = max(peak, s.Pending())
 			if left > 0 {
@@ -333,8 +344,8 @@ func TestRadixQueueRetainedBounded(t *testing.T) {
 		}
 		for k, b := range s.events.b {
 			for _, e := range b[:cap(b)] {
-				if e.fn != nil {
-					t.Fatalf("burst %d: bucket %d keeps a fired closure", burst, k)
+				if e.h != nil {
+					t.Fatalf("burst %d: bucket %d keeps a fired handler", burst, k)
 				}
 			}
 		}
@@ -351,7 +362,7 @@ func BenchmarkEventQueueDeep(b *testing.B) {
 	delays := deepDelays(rand.New(rand.NewSource(1)), 1<<12)
 	s := New()
 	scheduled := 0
-	var fire func()
+	var fire Func
 	fire = func() {
 		if scheduled < b.N {
 			scheduled++

@@ -20,12 +20,13 @@ type Resource struct {
 // NewResource returns a resource attached to s.
 func NewResource(s *Sim) *Resource { return &Resource{sim: s} }
 
-// Acquire schedules fn to run when the resource becomes free (no earlier
+// Acquire schedules h to fire when the resource becomes free (no earlier
 // than now) and occupies the resource for service starting at that moment.
 // It returns the time at which service begins, which is also Sim.Now when
-// fn runs. fn is queued as given, with no wrapper, so a caller that binds
-// its callback once schedules without allocating.
-func (r *Resource) Acquire(service Dur, fn func()) Time {
+// h fires. A nil h only occupies the resource. h is queued as given, with
+// no wrapper, so a record that is its own handler schedules without
+// allocating.
+func (r *Resource) Acquire(service Dur, h Handler) Time {
 	start := r.freeAt
 	if now := r.sim.Now(); start < now {
 		start = now
@@ -33,8 +34,8 @@ func (r *Resource) Acquire(service Dur, fn func()) Time {
 	r.freeAt = start.Add(service)
 	r.busy += service
 	r.uses++
-	if fn != nil {
-		r.sim.At(start, fn)
+	if h != nil {
+		r.sim.At(start, h)
 	}
 	return start
 }
@@ -87,7 +88,7 @@ func (c *Counter) Add(n uint64) {
 	remaining := c.waits[:0]
 	for _, w := range c.waits {
 		if c.value >= w.target {
-			c.sim.After(w.poll, w.fn)
+			c.sim.After(w.poll, Func(w.fn))
 		} else {
 			remaining = append(remaining, w)
 		}
@@ -107,7 +108,7 @@ func (c *Counter) Reset() {
 // Wait schedules fn to run pollOverhead after the counter reaches target.
 func (c *Counter) Wait(target uint64, pollOverhead Dur, fn func()) {
 	if c.value >= target {
-		c.sim.After(pollOverhead, fn)
+		c.sim.After(pollOverhead, Func(fn))
 		return
 	}
 	c.waits = append(c.waits, counterWait{target: target, poll: pollOverhead, fn: fn})

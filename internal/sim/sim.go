@@ -4,14 +4,15 @@
 // Time is measured in integer picoseconds so that repeated additions of
 // sub-nanosecond latency components (e.g. 8.8 ns ring hops) never accumulate
 // floating-point error, and so that two runs of the same experiment are
-// bit-identical. Events scheduled for the same instant fire in the order in
-// which they were scheduled (FIFO tie-break on a sequence number), which
-// makes the entire simulation deterministic without any further effort from
-// the models built on top of it.
+// bit-identical. Events fire in (time, scheduling order): those scheduled
+// for the same instant fire in the order in which they were scheduled,
+// which makes the entire simulation deterministic without any further
+// effort from the models built on top of it.
 //
 // Events fire one at a time from a monotone radix queue (queue.go), which
 // is exact because the kernel never schedules before now and which keeps
-// same-instant events in scheduling order.
+// same-instant events in scheduling order by the order it appends them,
+// without storing a sequence number.
 package sim
 
 import "fmt"
@@ -55,17 +56,30 @@ func (d Dur) String() string  { return fmt.Sprintf("%.3fns", d.Ns()) }
 // NsDur converts a nanosecond count to a Dur.
 func NsDur(ns float64) Dur { return Dur(ns * 1000) }
 
-// event is a scheduled callback.
+// Handler is what an event runs when it fires. A model record that is
+// scheduled again and again over its life implements Handler itself, so
+// its events hold the record and firing one is a single interface call;
+// a one-off callback is a Func.
+type Handler interface{ Fire() }
+
+// Func adapts a plain function to Handler. A func value is pointer-shaped,
+// so converting a Func to a Handler does not allocate.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// event is a scheduled handler. Its place among same-instant events is
+// its place in the queue's buckets (queue.go), so it carries no sequence
+// number and stays 24 bytes.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at Time
+	h  Handler
 }
 
 // Sim is a discrete-event simulator. The zero value is ready to use.
 type Sim struct {
 	now    Time
-	seq    uint64
 	events radixQueue
 	nfired uint64
 
@@ -107,24 +121,23 @@ func (s *Sim) Fired() uint64 { return s.nfired }
 // Pending returns the number of events not yet executed.
 func (s *Sim) Pending() int { return s.events.n }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
+// At schedules h to fire at absolute time t. Scheduling in the past
 // panics: it always indicates a modelling bug rather than a recoverable
-// condition. The event takes the next sequence number, the deterministic
-// FIFO tie-break among same-instant events.
-func (s *Sim) At(t Time, fn func()) {
+// condition. Among events at the same instant, h fires after every one
+// scheduled before it: the deterministic FIFO tie-break.
+func (s *Sim) At(t Time, h Handler) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	s.seq++
-	s.events.push(event{at: t, seq: s.seq, fn: fn})
+	s.events.push(event{at: t, h: h})
 }
 
-// After schedules fn to run d after the current time.
-func (s *Sim) After(d Dur, fn func()) {
+// After schedules h to fire d after the current time.
+func (s *Sim) After(d Dur, h Handler) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	s.At(s.now.Add(d), fn)
+	s.At(s.now.Add(d), h)
 }
 
 // Step executes the next event, if any, and reports whether one ran.
@@ -135,7 +148,7 @@ func (s *Sim) Step() bool {
 	e := s.events.pop()
 	s.now = e.at
 	s.nfired++
-	e.fn()
+	e.h.Fire()
 	return true
 }
 

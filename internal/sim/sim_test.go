@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestUnitsAndConversions(t *testing.T) {
@@ -31,12 +32,20 @@ func TestUnitsAndConversions(t *testing.T) {
 	}
 }
 
+// An event is a time and a handler, 24 bytes: same-instant order comes
+// from the queue's append order, so no sequence number is stored.
+func TestEventSize(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 24 {
+		t.Errorf("event is %d bytes, want at most 24", size)
+	}
+}
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	s := New()
 	var got []Time
 	for _, d := range []Dur{50, 10, 30, 20, 40} {
 		d := d
-		s.After(d, func() { got = append(got, s.Now()) })
+		s.After(d, Func(func() { got = append(got, s.Now()) }))
 	}
 	s.Run()
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
@@ -52,7 +61,7 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		s.At(42, func() { order = append(order, i) })
+		s.At(42, Func(func() { order = append(order, i) }))
 	}
 	s.Run()
 	for i, v := range order {
@@ -65,7 +74,7 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	s := New()
 	depth := 0
-	var rec func()
+	var rec Func
 	rec = func() {
 		depth++
 		if depth < 1000 {
@@ -87,14 +96,14 @@ func TestNestedScheduling(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New()
-	s.After(100, func() {
+	s.After(100, Func(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling in the past")
 			}
 		}()
-		s.At(50, func() {})
-	})
+		s.At(50, Func(func() {}))
+	}))
 	s.Run()
 }
 
@@ -105,14 +114,14 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Error("expected panic on negative delay")
 		}
 	}()
-	s.After(-1, func() {})
+	s.After(-1, Func(func() {}))
 }
 
 func TestRunUntil(t *testing.T) {
 	s := New()
 	fired := 0
 	for _, d := range []Dur{10, 20, 30, 40} {
-		s.After(d, func() { fired++ })
+		s.After(d, Func(func() { fired++ }))
 	}
 	if s.RunUntil(25) {
 		t.Fatal("RunUntil claimed drained with events pending")
@@ -146,7 +155,7 @@ func TestRunOrderProperty(t *testing.T) {
 			if d > max {
 				max = d
 			}
-			s.After(d, func() { visited = append(visited, s.Now()) })
+			s.After(d, Func(func() { visited = append(visited, s.Now()) }))
 		}
 		end := s.Run()
 		if len(delays) > 0 && end != Time(max) {
@@ -165,7 +174,7 @@ func TestResourceSerializesFIFO(t *testing.T) {
 	var starts []Time
 	// Three back-to-back acquisitions of 100 ps each at t=0.
 	for i := 0; i < 3; i++ {
-		r.Acquire(100, func() { starts = append(starts, s.Now()) })
+		r.Acquire(100, Func(func() { starts = append(starts, s.Now()) }))
 	}
 	s.Run()
 	want := []Time{0, 100, 200}
@@ -186,12 +195,12 @@ func TestResourceIdleGap(t *testing.T) {
 	s := New()
 	r := NewResource(s)
 	r.Acquire(10, nil)
-	s.After(100, func() {
+	s.After(100, Func(func() {
 		start := r.Acquire(10, nil)
 		if start != 100 {
 			t.Errorf("start after idle gap = %v, want 100", start)
 		}
-	})
+	}))
 	s.Run()
 	if r.FreeAt() != 110 {
 		t.Fatalf("FreeAt = %v, want 110", r.FreeAt())
@@ -211,12 +220,12 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			at := Time(rng.Intn(500))
 			service := Dur(1 + rng.Intn(50))
-			s.At(at, func() {
-				r.Acquire(service, func() {
+			s.At(at, Func(func() {
+				r.Acquire(service, Func(func() {
 					st := s.Now()
 					spans = append(spans, span{st, st.Add(service)})
-				})
-			})
+				}))
+			}))
 		}
 		s.Run()
 		for i := 1; i < len(spans); i++ {
@@ -234,7 +243,7 @@ func TestCounterThresholdWait(t *testing.T) {
 	c.Wait(3, 36*Ns, func() { firedAt = s.Now() })
 	for i := 1; i <= 3; i++ {
 		d := Dur(i) * 100 * Ns
-		s.At(Time(d), func() { c.Inc() })
+		s.At(Time(d), Func(func() { c.Inc() }))
 	}
 	s.Run()
 	want := Time(300*Ns + 36*Ns)
@@ -251,14 +260,14 @@ func TestCounterAlreadySatisfied(t *testing.T) {
 	c := NewCounter(s)
 	c.Add(5)
 	var fired bool
-	s.After(10, func() {
+	s.After(10, Func(func() {
 		c.Wait(5, 7, func() {
 			fired = true
 			if s.Now() != 17 {
 				t.Errorf("fired at %v, want 17", s.Now())
 			}
 		})
-	})
+	}))
 	s.Run()
 	if !fired {
 		t.Fatal("satisfied wait never fired")
@@ -274,7 +283,7 @@ func TestCounterMultipleWaiters(t *testing.T) {
 		c.Wait(target, 0, func() { fired[target] = s.Now() })
 	}
 	for i := 1; i <= 6; i++ {
-		s.At(Time(i*10), func() { c.Inc() })
+		s.At(Time(i*10), Func(func() { c.Inc() }))
 	}
 	s.Run()
 	for target, at := range fired {
@@ -319,7 +328,7 @@ func TestDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(123))
 		for i := 0; i < 500; i++ {
 			i := i
-			s.At(Time(rng.Intn(100)), func() { log = append(log, i) })
+			s.At(Time(rng.Intn(100)), Func(func() { log = append(log, i) }))
 		}
 		s.Run()
 		return log
@@ -334,7 +343,7 @@ func TestDeterminism(t *testing.T) {
 
 func BenchmarkEventThroughput(b *testing.B) {
 	s := New()
-	var next func()
+	var next Func
 	count := 0
 	next = func() {
 		count++
