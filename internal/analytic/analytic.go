@@ -79,23 +79,6 @@ func (a *Anton) WriteLatency(src, dst topo.Coord, payload int) sim.Dur {
 	return a.PointToPoint(src, dst, packet.Slice0, packet.Slice0, payload)
 }
 
-// Bidirectional returns the completion time of the Figure 5 ping-pong
-// measurement: simultaneous opposite writes between src and dst, the
-// slower direction reported. The two directions traverse disjoint
-// directed links, so each is contention-free and the answer is the
-// maximum of the two one-way latencies.
-func (a *Anton) Bidirectional(src, dst topo.Coord, payload int) sim.Dur {
-	fwd := a.WriteLatency(src, dst, payload)
-	if src == dst {
-		return fwd
-	}
-	rev := a.WriteLatency(dst, src, payload)
-	if rev > fwd {
-		return rev
-	}
-	return fwd
-}
-
 // DiameterCoord returns the coordinate at the torus diameter from the
 // origin: the farthest minimal-route destination, half the ring size
 // away in every dimension.

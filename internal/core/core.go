@@ -163,9 +163,6 @@ func (p *Pattern) Expected(dst packet.Client) uint64 { return p.expected[dst] }
 // Round returns the current round number (1-based; 0 before Freeze).
 func (p *Pattern) Round() int { return p.round }
 
-// Flows returns the declared flows in declaration order.
-func (p *Pattern) Flows() []*Flow { return p.flows }
-
 // Push sends the flow's next packet of the round carrying payload. The
 // destination address is the packet's preallocated slot. Sending more than
 // the declared Count panics: the entire paradigm rests on the receiver's

@@ -2,12 +2,6 @@ package md
 
 import "math"
 
-// BondedForces accumulates harmonic bond and angle forces into s.Frc and
-// returns the bonded potential energy.
-func (s *System) BondedForces() float64 {
-	return s.BondForces() + s.AngleForces()
-}
-
 // BondForces accumulates harmonic bond forces and returns their energy.
 func (s *System) BondForces() float64 {
 	var e float64

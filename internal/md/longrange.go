@@ -203,9 +203,6 @@ func (g *GSE) SpectralEnergy() float64 { return g.lastEnergy }
 // Virial returns the reciprocal-space virial trace of the last Convolve.
 func (g *GSE) Virial() float64 { return g.lastVirial }
 
-// Phi returns the potential grid from the most recent Convolve.
-func (g *GSE) Phi() *fft.Grid { return g.phi }
-
 // EnergyAndForces interpolates the potential grid back at the atom
 // positions: it accumulates the k-space forces into s.Frc and returns the
 // k-space energy (excluding the constant self-energy term).

@@ -134,9 +134,6 @@ func (s *Server) Restore() error {
 	return nil
 }
 
-// Ready reports whether the server is admitting work.
-func (s *Server) Ready() bool { return s.state.Load() == stateReady }
-
 // stateName renders the lifecycle phase for /readyz and /stats.
 func (s *Server) stateName() string {
 	switch s.state.Load() {

@@ -139,13 +139,6 @@ func (rt *RouteTable) usable(u NodeID, p Port, v NodeID) bool {
 	return !rt.deadLink[LinkID{Node: u, Port: p}] && !rt.deadNode[u] && !rt.deadNode[v]
 }
 
-// DeadLink reports whether l is in the table's dead-link set (dead
-// nodes' links are reported via DeadNode, not here).
-func (rt *RouteTable) DeadLink(l LinkID) bool { return rt.deadLink[l] }
-
-// DeadNode reports whether n is dead.
-func (rt *RouteTable) DeadNode(n NodeID) bool { return rt.deadNode[n] }
-
 // NextHop returns the outgoing port from node `from` toward dst. ok is
 // false when from == dst, either endpoint is dead, or no surviving
 // route exists.
