@@ -83,7 +83,9 @@ type Cache struct {
 	stats   Stats
 
 	// onComplete, when set, is called (outside the lock) every time an
-	// entry completes; the server uses it to persist the cache snapshot.
+	// entry completes, before its waiters are released; the server uses
+	// it to persist the cache snapshot, so a result is on disk before
+	// its response is sent.
 	onComplete func()
 }
 
@@ -165,14 +167,15 @@ func (c *Cache) Peek(digest string) (Result, bool) {
 	}
 }
 
-// Complete publishes the result to every waiter, makes the entry
-// evictable, and evicts the least-recently-used completed entries
-// beyond the cache bound.
+// Complete makes the entry evictable, evicts the least-recently-used
+// completed entries beyond the cache bound, runs the completion hook,
+// and only then publishes the result to every waiter. The entry is in
+// the completed set (and so in the hook's snapshot) from the start, but
+// lookups see it as in flight until the hook has returned.
 func (c *Cache) Complete(e *Entry, res Result) {
 	c.mu.Lock()
 	e.res = res
 	e.elem = c.lru.PushFront(e)
-	close(e.done)
 	for c.max > 0 && c.lru.Len() > c.max {
 		old := c.lru.Back()
 		c.lru.Remove(old)
@@ -185,6 +188,7 @@ func (c *Cache) Complete(e *Entry, res Result) {
 	if cb != nil {
 		cb()
 	}
+	close(e.done)
 }
 
 // Abort removes an in-flight entry without a result (a cancelled,
