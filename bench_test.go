@@ -27,8 +27,8 @@ import (
 func BenchmarkFig5LatencyVsHops(b *testing.B) {
 	var one, twelve sim.Dur
 	for i := 0; i < b.N; i++ {
-		one = harness.OneWayLatency(topo.C(1, 0, 0), 0)
-		twelve = harness.OneWayLatency(topo.C(4, 4, 4), 0)
+		one = harness.OneWayLatency(&harness.Session{Workers: 1}, topo.C(1, 0, 0), 0)
+		twelve = harness.OneWayLatency(&harness.Session{Workers: 1}, topo.C(4, 4, 4), 0)
 	}
 	b.ReportMetric(one.Ns(), "sim-ns/1hop")
 	b.ReportMetric(twelve.Ns(), "sim-ns/12hop")
@@ -38,7 +38,7 @@ func BenchmarkFig5LatencyVsHops(b *testing.B) {
 func BenchmarkFig6Breakdown(b *testing.B) {
 	var lat sim.Dur
 	for i := 0; i < b.N; i++ {
-		lat = harness.OneWayLatency(topo.C(1, 0, 0), 0)
+		lat = harness.OneWayLatency(&harness.Session{Workers: 1}, topo.C(1, 0, 0), 0)
 	}
 	b.ReportMetric(lat.Ns(), "sim-ns")
 }
@@ -47,7 +47,7 @@ func BenchmarkFig6Breakdown(b *testing.B) {
 func BenchmarkTable1Survey(b *testing.B) {
 	var lat sim.Dur
 	for i := 0; i < b.N; i++ {
-		lat = harness.OneWayLatency(topo.C(1, 0, 0), 0)
+		lat = harness.OneWayLatency(&harness.Session{Workers: 1}, topo.C(1, 0, 0), 0)
 	}
 	b.ReportMetric(lat.Us(), "sim-us")
 }
@@ -58,7 +58,7 @@ func BenchmarkFig7FineGrained(b *testing.B) {
 	var out string
 	for i := 0; i < b.N; i++ {
 		e, _ := harness.Lookup("fig7")
-		out = e.Run(true)
+		out = e.RunWith(&harness.Session{Workers: 1}, true)
 	}
 	_ = out
 }
@@ -67,7 +67,7 @@ func BenchmarkFig7FineGrained(b *testing.B) {
 func BenchmarkHalfBandwidth(b *testing.B) {
 	e, _ := harness.Lookup("halfbw")
 	for i := 0; i < b.N; i++ {
-		_ = e.Run(true)
+		_ = e.RunWith(&harness.Session{Workers: 1}, true)
 	}
 }
 
@@ -124,12 +124,9 @@ func BenchmarkTable3Sweep(b *testing.B) {
 	sizes := []int{5000, 11000, 17758, 23558}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			prev := harness.Workers()
-			harness.SetWorkers(workers)
-			defer harness.SetWorkers(prev)
 			var totals []sim.Dur
 			for i := 0; i < b.N; i++ {
-				totals = harness.Table3Sweep(sizes)
+				totals = harness.Table3Sweep(&harness.Session{Workers: workers}, sizes)
 			}
 			b.ReportMetric(totals[len(totals)-1].Us(), "sim-us/dhfr-avg-step")
 		})
@@ -200,7 +197,7 @@ func BenchmarkFig12Migration(b *testing.B) {
 func BenchmarkFig13Trace(b *testing.B) {
 	e, _ := harness.Lookup("fig13")
 	for i := 0; i < b.N; i++ {
-		_ = e.Run(true)
+		_ = e.RunWith(&harness.Session{Workers: 1}, true)
 	}
 }
 

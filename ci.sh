@@ -106,9 +106,9 @@ stage "analytic suite"
 # payload, src/dst symmetry, serialization additivity, the 11 pinned
 # Figure 6 routes, the torus-diameter worst case), the calibrated step
 # model's error-bound and refusal tests, the fastpath report goldens in
-# both fidelities, and the -fidelity error paths of all three CLIs.
+# both fidelities, and the -fidelity error paths of both CLIs.
 go test ./internal/analytic
-go test -run 'Fastpath|FidelityGate' ./cmd/antonbench ./cmd/latency ./cmd/mdsim
+go test -run 'Fastpath|FidelityGate' ./cmd/antonbench ./cmd/latency
 
 stage "fuzz corpus (FuzzAnalyticVsDES seeds, -race)"
 # The analytic-vs-DES differential fuzzer's checked-in corpus — random

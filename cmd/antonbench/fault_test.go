@@ -21,14 +21,12 @@ func TestZeroRatePlanGoldenIdentity(t *testing.T) {
 	if !plan.IsZero() {
 		t.Fatalf("plan %v should be zero-rate", plan)
 	}
-	harness.SetFaultPlan(&plan)
-	defer harness.SetFaultPlan(nil)
 	for _, id := range []string{"fig6", "table1"} {
 		e, ok := harness.Lookup(id)
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
 		}
-		got := e.Run(false)
+		got := e.RunWith(&harness.Session{Workers: 1, Faults: &plan}, false)
 		want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
 		if err != nil {
 			t.Fatal(err)

@@ -8,10 +8,11 @@ import (
 	"anton/internal/harness"
 )
 
-// TestFidelityGate pins the -fidelity error paths: unknown tiers are
-// rejected with a clear message, and the analytic tier refuses the
-// combinations it cannot model (fault plans, kill scenarios,
-// event-driven-only experiments) instead of silently answering.
+// TestFidelityGate pins the -fidelity error paths of configure: unknown
+// tiers are rejected with a clear message, and the analytic tier refuses
+// the combinations it cannot model (fault plans, kill scenarios,
+// event-driven-only experiments) instead of silently answering. An
+// accepted configuration carries the flags into the session.
 func TestFidelityGate(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -32,10 +33,13 @@ func TestFidelityGate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := fidelityGate(tc.fidelity, tc.faults, tc.ids)
+			sess, err := configure(3, tc.fidelity, tc.faults, tc.ids)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("want accept, got: %v", err)
+				}
+				if sess.Workers != 3 || sess.Fidelity != tc.fidelity || (sess.Faults != nil) != (tc.faults != "") {
+					t.Fatalf("session %+v does not carry workers 3, fidelity %q, faults %q", sess, tc.fidelity, tc.faults)
 				}
 				return
 			}
@@ -54,13 +58,11 @@ func TestFidelityGate(t *testing.T) {
 // faulted event simulator against the fault-free closed form.
 func TestFastpathRefusesFaultPlan(t *testing.T) {
 	plan := fault.MustParsePlan("seed=9,killlink=0:X+@2us,wdog=15us")
-	harness.SetFaultPlan(&plan)
-	defer harness.SetFaultPlan(nil)
 	e, ok := harness.Lookup("fastpath")
 	if !ok {
 		t.Fatal("experiment fastpath not registered")
 	}
-	got := e.Run(true)
+	got := e.RunWith(&harness.Session{Workers: 1, Faults: &plan}, true)
 	if !strings.Contains(got, "refused") {
 		t.Fatalf("fastpath under a kill plan should refuse; got:\n%s", got)
 	}

@@ -45,14 +45,13 @@ import (
 	"time"
 
 	"anton/internal/checkpoint"
-	"anton/internal/fault"
 	"anton/internal/harness"
 )
 
 func main() {
 	quick := flag.Bool("quick", false, "reduce sampling density of the expensive experiments")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"goroutines for experiment sweeps (1 = sequential; output is identical for any value)")
+		"goroutines for experiment sweeps and MD set-up (1 = sequential; output is identical for any value)")
 	faults := flag.String("faults", "",
 		"fault plan applied to every experiment (e.g. seed=42,corrupt=1e-3,retry=50ns,killlink=0:X+@2us,wdog=15us)")
 	benchOut := flag.String("bench-out", "",
@@ -66,54 +65,35 @@ func main() {
 	fidelityFlag := flag.String("fidelity", harness.FidelityDES,
 		"simulation tier: des (event-driven) or analytic (closed-form fast path; fastpath only)")
 	flag.Parse()
-	harness.SetWorkers(*workers)
-	if err := fidelityGate(*fidelityFlag, *faults, nil); err != nil {
+	args := flag.Args()
+	list := len(args) == 0 || args[0] == "list"
+	var ids []string
+	switch {
+	case list:
+	case args[0] == "all":
+		// At analytic fidelity, "all" means every analytic-capable
+		// experiment; the event-driven-only ones are skipped rather than
+		// refused.
+		for _, e := range harness.Experiments() {
+			if e.Check(*fidelityFlag, false) == nil {
+				ids = append(ids, e.ID)
+			}
+		}
+	default:
+		ids = args
+	}
+	sess, err := configure(*workers, *fidelityFlag, *faults, ids)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "antonbench: %v\n", err)
 		os.Exit(1)
 	}
-	if err := harness.SetFidelity(*fidelityFlag); err != nil {
-		fmt.Fprintf(os.Stderr, "antonbench: -fidelity: %v\n", err)
-		os.Exit(1)
-	}
-	if *faults != "" {
-		plan, err := fault.ParsePlan(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "antonbench: -faults: %v\n", err)
-			os.Exit(1)
-		}
-		// The flagship machine has 512 nodes; every experiment simulator
-		// is at most that large, so kills beyond it would hit nothing.
-		if err := plan.ValidateTopo(512); err != nil {
-			fmt.Fprintf(os.Stderr, "antonbench: -faults: %v\n", err)
-			os.Exit(1)
-		}
-		harness.SetFaultPlan(&plan)
-	}
-	args := flag.Args()
-	if len(args) == 0 || args[0] == "list" {
+	if list {
 		fmt.Println("experiments:")
 		for _, e := range harness.Experiments() {
 			fmt.Printf("  %-18s %s\n", e.ID, e.Title)
 		}
 		fmt.Println("\nrun with: antonbench [-quick] <id> [...] | all")
 		return
-	}
-	ids := args
-	if args[0] == "all" {
-		// At analytic fidelity, "all" means every analytic-capable
-		// experiment; the event-driven-only ones are skipped rather than
-		// refused.
-		ids = nil
-		for _, e := range harness.Experiments() {
-			if harness.Fidelity() == harness.FidelityAnalytic && !e.Analytic {
-				continue
-			}
-			ids = append(ids, e.ID)
-		}
-	}
-	if err := fidelityGate(*fidelityFlag, *faults, ids); err != nil {
-		fmt.Fprintf(os.Stderr, "antonbench: %v\n", err)
-		os.Exit(1)
 	}
 
 	// A snapshot carries the settings that determine report content plus
@@ -122,7 +102,7 @@ func main() {
 	fields := map[string]string{
 		"quick":    strconv.FormatBool(*quick),
 		"faults":   *faults,
-		"fidelity": harness.Fidelity(),
+		"fidelity": sess.Fidelity,
 	}
 	done := map[string]string{}
 	var rows []string
@@ -181,13 +161,13 @@ func main() {
 		if e.HasArtifacts() && (*benchOut != "" || *traceOut != "") {
 			// Experiments with machine-readable artifacts beyond the report
 			// (currently metrics) run once and write everything asked for.
-			a := e.ArtifactsWith(harness.NewSession(), *quick)
+			a := e.ArtifactsWith(sess, *quick)
 			report = a.Report
 			fmt.Println(report)
 			writeArtifact(*benchOut, a.BenchJSON)
 			writeArtifact(*traceOut, a.Trace)
 		} else {
-			report = e.Run(*quick)
+			report = e.RunWith(sess, *quick)
 			fmt.Println(report)
 		}
 		fmt.Printf("[%s completed in %.1fs]\n\n", e.ID, time.Since(start).Seconds())
@@ -197,28 +177,30 @@ func main() {
 	}
 }
 
-// fidelityGate validates the -fidelity value against the other flags and
-// the requested experiments before anything runs: the analytic tier
-// models a fault-free machine (so fault plans and kill scenarios are
-// refused, not silently ignored), and experiments without a closed-form
-// tier refuse to answer at analytic fidelity.
-func fidelityGate(fidelity, faults string, ids []string) error {
+// configure builds the run's session from the -workers, -fidelity and
+// -faults flags and applies the harness's refusals to every requested
+// experiment before anything runs: the analytic tier answers neither
+// event-driven-only experiments nor fault plans, and a plan may name
+// nothing beyond the 512-node flagship.
+func configure(workers int, fidelity, faults string, ids []string) (*harness.Session, error) {
 	f, err := harness.ParseFidelity(fidelity)
 	if err != nil {
-		return fmt.Errorf("-fidelity: %v", err)
-	}
-	if f != harness.FidelityAnalytic {
-		return nil
-	}
-	if faults != "" {
-		return fmt.Errorf("-fidelity analytic models a fault-free machine and refuses fault plans; drop -faults or use -fidelity des")
+		return nil, fmt.Errorf("-fidelity: %v", err)
 	}
 	for _, id := range ids {
-		if e, ok := harness.Lookup(id); ok && !e.Analytic {
-			return fmt.Errorf("experiment %q is event-driven only and has no analytic tier; run it with -fidelity des", id)
+		if e, ok := harness.Lookup(id); ok {
+			if err := e.Check(f, faults != ""); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return nil
+	sess := &harness.Session{Workers: workers, Fidelity: f}
+	if faults != "" {
+		if sess.Faults, err = harness.ParsePlan(faults); err != nil {
+			return nil, fmt.Errorf("-faults: %v", err)
+		}
+	}
+	return sess, nil
 }
 
 func writeArtifact(path string, data []byte) {

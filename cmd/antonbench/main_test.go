@@ -32,7 +32,7 @@ func TestGoldenReports(t *testing.T) {
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
 		}
-		got := e.Run(false)
+		got := e.RunWith(&harness.Session{Workers: 1}, false)
 		path := filepath.Join("testdata", id+".golden")
 		if *update {
 			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -61,7 +61,7 @@ func TestKillsweepGolden(t *testing.T) {
 	if !ok {
 		t.Fatal("experiment killsweep not registered")
 	}
-	got := e.Run(true)
+	got := e.RunWith(&harness.Session{Workers: 1}, true)
 	path := filepath.Join("testdata", "killsweep.golden")
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -94,10 +94,7 @@ func TestFastpathGolden(t *testing.T) {
 		t.Fatal("experiment fastpath not registered")
 	}
 	for _, fidelity := range []string{harness.FidelityDES, harness.FidelityAnalytic} {
-		if err := harness.SetFidelity(fidelity); err != nil {
-			t.Fatal(err)
-		}
-		got := e.Run(true)
+		got := e.RunWith(&harness.Session{Workers: 1, Fidelity: fidelity}, true)
 		name := "fastpath"
 		if fidelity == harness.FidelityAnalytic {
 			name = "fastpath-analytic"
@@ -118,9 +115,6 @@ func TestFastpathGolden(t *testing.T) {
 				name, path, got, want)
 		}
 	}
-	if err := harness.SetFidelity(harness.FidelityDES); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestMetricsZeroOverheadIdentity pins the observability layer's
@@ -130,14 +124,12 @@ func TestFastpathGolden(t *testing.T) {
 // passive — it never schedules events — so if this test fails, the
 // metrics layer has started perturbing simulation results.
 func TestMetricsZeroOverheadIdentity(t *testing.T) {
-	harness.SetMetrics(true)
-	defer harness.SetMetrics(false)
 	for _, id := range []string{"fig6", "table1"} {
 		e, ok := harness.Lookup(id)
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
 		}
-		got := e.Run(false)
+		got := e.RunWith(&harness.Session{Workers: 1, Metrics: true}, false)
 		want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
 		if err != nil {
 			t.Fatal(err)

@@ -8,13 +8,11 @@
 //	mdsim [-atoms 23558] [-steps 10] [-torus 8x8x8] [-seed 1]
 //	      [-thermostat] [-migrate 8] [-engine-molecules 64] [-workers N]
 //	      [-faults PLAN] [-checkpoint-out FILE] [-restore FILE]
-//	      [-fidelity des]
 //
 // mdsim is inherently event-driven: it produces a step-by-step physics
 // and timing trajectory, which the closed-form analytic tier cannot
-// answer. -fidelity exists for CLI symmetry and accepts only des;
-// analytic step-time queries live in 'antonbench -fidelity analytic
-// fastpath'.
+// answer. Analytic step-time queries live in 'antonbench -fidelity
+// analytic fastpath'.
 //
 // A fault plan perturbs the machine simulator with seeded deterministic
 // faults, including permanent link/node kills survived by fault-aware
@@ -41,7 +39,6 @@ import (
 
 	"anton/internal/checkpoint"
 	"anton/internal/fault"
-	"anton/internal/harness"
 	"anton/internal/machine"
 	"anton/internal/md"
 	"anton/internal/mdmap"
@@ -112,13 +109,7 @@ func main() {
 		"write a versioned snapshot of the completed run to this file")
 	restore := flag.String("restore", "",
 		"restore from a snapshot: rebuild its configuration, replay (verifying) to its step, then continue to -steps")
-	fidelityFlag := flag.String("fidelity", harness.FidelityDES,
-		"simulation tier: only des — the trajectory is inherently event-driven (analytic step queries: antonbench fastpath)")
 	flag.Parse()
-
-	if err := fidelityGate(*fidelityFlag); err != nil {
-		fatal(err)
-	}
 
 	cfg := config{
 		atoms: *atoms, torus: *torusFlag, seed: *seed, thermostat: *thermostat,
@@ -149,22 +140,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
 	os.Exit(1)
-}
-
-// fidelityGate validates the -fidelity value. mdsim's product is a
-// step-by-step trajectory — bit-exact physics plus per-step machine
-// timings — which only the event-driven tier produces, so analytic is
-// refused with a pointer to the experiment that does answer closed-form
-// step-time queries.
-func fidelityGate(fidelity string) error {
-	f, err := harness.ParseFidelity(fidelity)
-	if err != nil {
-		return fmt.Errorf("-fidelity: %v", err)
-	}
-	if f == harness.FidelityAnalytic {
-		return fmt.Errorf("-fidelity analytic: mdsim produces a step-by-step trajectory the closed-form tier cannot answer; use 'antonbench -fidelity analytic fastpath' for analytic step-time queries")
-	}
-	return nil
 }
 
 // engineRow formats one physical-engine progress row.

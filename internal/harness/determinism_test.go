@@ -10,17 +10,14 @@ func TestSweepReportsWorkerIndependent(t *testing.T) {
 	if testing.Short() {
 		ids = ids[:5]
 	}
-	defer SetWorkers(Workers())
 	for _, id := range ids {
 		e, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
 		}
-		SetWorkers(1)
-		want := e.Run(true)
+		want := e.RunWith(&Session{Workers: 1}, true)
 		for _, w := range []int{4, 0} {
-			SetWorkers(w)
-			if got := e.Run(true); got != want {
+			if got := e.RunWith(&Session{Workers: w}, true); got != want {
 				t.Fatalf("%s: workers=%d report differs from sequential report\n--- sequential ---\n%s\n--- workers=%d ---\n%s",
 					id, w, want, w, got)
 			}
@@ -32,12 +29,9 @@ func TestTable3SweepWorkerIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds several 512-node mappings; run without -short")
 	}
-	defer SetWorkers(Workers())
 	sizes := []int{5000}
-	SetWorkers(1)
-	want := Table3Sweep(sizes)
-	SetWorkers(4)
-	got := Table3Sweep(sizes)
+	want := Table3Sweep(&Session{Workers: 1}, sizes)
+	got := Table3Sweep(&Session{Workers: 4}, sizes)
 	if len(got) != len(want) {
 		t.Fatalf("length %d, want %d", len(got), len(want))
 	}

@@ -6,9 +6,7 @@ import (
 	"anton/internal/analytic"
 	"anton/internal/cluster"
 	"anton/internal/collective"
-	"anton/internal/machine"
 	"anton/internal/mdmap"
-	"anton/internal/noc"
 	"anton/internal/sim"
 	"anton/internal/topo"
 )
@@ -77,10 +75,8 @@ func clusterDES(sess *Session, n int, op func(c *cluster.Cluster, done func(sim.
 // steps and returns the steady-state total per step kind (the last of
 // each — the convention the step model is calibrated against).
 func desStepKinds(sess *Session, tor topo.Torus, cfg mdmap.Config, atoms, steps int) map[mdmap.StepKind]sim.Dur {
-	s := sess.NewSim()
-	m := machine.New(s, tor, noc.DefaultModel())
 	cfg.Atoms = atoms
-	mp := mdmap.New(s, m, cfg)
+	mp := sess.newMapping(sess.NewSim(), tor, cfg)
 	out := make(map[mdmap.StepKind]sim.Dur)
 	for i := 0; i < steps; i++ {
 		st := mp.RunStep()
@@ -136,7 +132,7 @@ func fastpath(sess *Session, quick bool) string {
 	if !analyticOnly {
 		copy(routeDES, sweep(sess, len(fastpathRoutes), func(i int) sim.Dur {
 			r := fastpathRoutes[i]
-			return oneWayLatency(sess, r.dst, r.bytes)
+			return OneWayLatency(sess, r.dst, r.bytes)
 		}))
 	}
 	for i, r := range fastpathRoutes {
@@ -163,7 +159,7 @@ func fastpath(sess *Session, quick bool) string {
 		copy(gridDES, sweep(sess, len(hopsList), func(i int) gridRow {
 			var r gridRow
 			for k, b := range sizes {
-				r[k] = oneWayLatency(sess, hopPath(hopsList[i]), b)
+				r[k] = OneWayLatency(sess, hopPath(hopsList[i]), b)
 			}
 			return r
 		}))
@@ -245,6 +241,7 @@ func fastpath(sess *Session, quick bool) string {
 	}
 	cfg := mdmap.DefaultConfig()
 	cfg.MigrationInterval = 0
+	cfg.Workers = sess.Workers
 	out += fmt.Sprintf("\nMD step-time model (%v torus, calibrated at %d and %d atoms):\n", sTor, lo, hi)
 	sm, err := analytic.CalibrateStep(sTor, cfg, lo, hi, analytic.StepOptions{NewSim: sess.NewSim, Steps: steps})
 	if err != nil {

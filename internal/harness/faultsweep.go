@@ -96,13 +96,11 @@ func antonAllReduceFault(sess *Session, p fault.Plan, bytes int) sim.Dur {
 // is deliberately small — the sweep needs the *relative* degradation
 // per rate, and a small mapping keeps the five-rate sweep cheap.
 func antonStepFault(sess *Session, p fault.Plan) sim.Dur {
-	s := faultSim(sess, p)
-	m := machine.New(s, topo.NewTorus(2, 2, 2), noc.DefaultModel())
 	cfg := mdmap.DefaultConfig()
 	cfg.Atoms = 4000
 	cfg.MigrationInterval = 0
 	cfg.GridN = 8
-	mp := mdmap.New(s, m, cfg)
+	mp := sess.newMapping(faultSim(sess, p), topo.NewTorus(2, 2, 2), cfg)
 	rl := mp.RunStep()
 	lr := mp.RunStep()
 	return (rl.Total + lr.Total) / 2

@@ -5,14 +5,14 @@
 // benchmarks share one implementation.
 //
 // Experiments run inside a Session, which carries everything that may
-// perturb simulator construction or report content: the sweep goroutine
-// budget, the fidelity tier, the fault plan, and the metrics
-// toggle. Sessions are isolated — two sessions with different fault
-// plans can run concurrently on the same process — which is what lets
-// the serving tier execute many sim sessions at once. The package-level
-// Set* functions remain as process-wide defaults for the one-shot CLIs;
-// Experiment.Run snapshots them into a fresh Session per call, so the
-// CLI behaviour is unchanged.
+// perturb simulator construction or report content: the goroutine
+// budget, the fidelity tier, the fault plan, and the metrics toggle. A
+// Session is the only way to configure a run — the package keeps no
+// settings of its own — so two sessions with different fault plans can
+// run concurrently in one process, which is what lets the serving tier
+// execute many sim sessions at once. Experiment.Check and ParsePlan hold
+// the rules on which (experiment, fidelity, fault plan) combinations may
+// run; the CLI and the serving tier both apply them.
 package harness
 
 import (
@@ -23,9 +23,13 @@ import (
 	"sync/atomic"
 
 	"anton/internal/fault"
+	"anton/internal/machine"
+	"anton/internal/mdmap"
 	"anton/internal/metrics"
+	"anton/internal/noc"
 	"anton/internal/par"
 	"anton/internal/sim"
+	"anton/internal/topo"
 )
 
 // Experiment is a runnable reproduction of one table or figure.
@@ -43,15 +47,10 @@ type Experiment struct {
 	// hardcoding experiment ids.
 	artifacts func(s *Session, quick bool) Artifacts
 	// Analytic marks experiments that support the closed-form fast-path
-	// tier (-fidelity analytic). Everything else is event-driven only and
-	// antonbench refuses to run it at analytic fidelity.
+	// tier (-fidelity analytic). Everything else is event-driven only;
+	// Check refuses it at analytic fidelity.
 	Analytic bool
 }
-
-// Run executes the experiment with a session snapshotted from the
-// process-wide defaults (SetWorkers, SetFidelity, SetFaultPlan,
-// SetMetrics) — the one-shot CLI and test entry point.
-func (e Experiment) Run(quick bool) string { return e.run(NewSession(), quick) }
 
 // RunWith executes the experiment inside the given session.
 func (e Experiment) RunWith(s *Session, quick bool) string { return e.run(s, quick) }
@@ -70,29 +69,50 @@ func (e Experiment) ArtifactsWith(s *Session, quick bool) Artifacts {
 	return e.artifacts(s, quick)
 }
 
+// Check reports whether the experiment may run at the given canonical
+// fidelity, with or without a fault plan. The analytic tier refuses two
+// combinations rather than approximating them: an experiment with no
+// closed-form tier, and any fault plan (the closed forms model a
+// fault-free machine). At DES fidelity everything runs.
+func (e Experiment) Check(fidelity string, faulted bool) error {
+	if fidelity != FidelityAnalytic {
+		return nil
+	}
+	if !e.Analytic {
+		return fmt.Errorf("experiment %q is event-driven only and has no analytic tier; run it at fidelity %q", e.ID, FidelityDES)
+	}
+	if faulted {
+		return fmt.Errorf("the analytic tier models a fault-free machine and refuses fault plans; drop faults or use fidelity %q", FidelityDES)
+	}
+	return nil
+}
+
 var registry = map[string]Experiment{}
 
 func register(e Experiment) { registry[e.ID] = e }
 
 // Session is one isolated experiment run's configuration. The zero
-// value is usable: sequential sweeps, DES fidelity, no faults, no
-// metrics. Sessions must not be shared between concurrent experiment
-// runs (each run owns its progress counter), but any number of
-// sessions may run concurrently — nothing in the harness is shared
-// between them, which is the isolation contract the serving tier's
-// concurrent sim sessions rely on.
+// value runs at DES fidelity with no faults and no metrics, on
+// GOMAXPROCS goroutines; set Workers to 1 for a sequential run.
+// Sessions must not be shared between concurrent experiment runs (each
+// run owns its progress counter), but any number of sessions may run
+// concurrently — nothing in the harness is shared between them, which
+// is the isolation contract the serving tier's concurrent sim sessions
+// rely on.
 type Session struct {
-	// Workers is the sweep goroutine budget: 1 (and 0 by convention in
-	// the package-level default) runs everything on the calling
-	// goroutine, a negative value or 0 passed through par.Workers
-	// resolves to GOMAXPROCS. Experiment sweeps run their independent
-	// simulator instances on a pool of this size; each simulator runs on
-	// one goroutine. Reports are byte-identical at any setting.
+	// Workers is the run's goroutine budget: experiment sweeps run their
+	// independent simulator instances on a pool of this size, and every
+	// MD mapping the session builds uses it for its host-side
+	// precomputation (md.Build, bond aging). 1 runs everything on the
+	// calling goroutine; 0 or a negative value resolves to GOMAXPROCS
+	// (par.Workers). Each simulator runs on one goroutine. Reports are
+	// byte-identical at any setting.
 	Workers int
 	// Fidelity selects the simulation tier (FidelityDES when empty).
 	Fidelity string
 	// Faults, when non-nil, is attached to every simulator the session
-	// builds; each simulator gets its own injector seeded from the plan.
+	// builds; each simulator gets its own injector seeded from the plan,
+	// so a zero-rate plan reproduces the fault-free reports bit for bit.
 	Faults *fault.Plan
 	// Metrics attaches a passive lifecycle recorder to every simulator
 	// the session builds. Recording never changes a report byte (the
@@ -119,16 +139,6 @@ type Session struct {
 	completed atomic.Int64
 }
 
-// NewSession snapshots the process-wide defaults into a fresh session.
-func NewSession() *Session {
-	return &Session{
-		Workers:  Workers(),
-		Fidelity: Fidelity(),
-		Faults:   FaultPlan(),
-		Metrics:  MetricsEnabled(),
-	}
-}
-
 // fidelity returns the session tier, resolving the zero value.
 func (s *Session) fidelity() string {
 	if s.Fidelity == "" {
@@ -152,6 +162,16 @@ func (s *Session) NewSim() *sim.Sim {
 		metrics.Attach(sm)
 	}
 	return sm
+}
+
+// newMapping maps the MD system cfg describes onto a fresh machine of
+// torus tor simulated by sm. The session's goroutine budget replaces
+// cfg.Workers. Experiments build their mappings here (fastpath's
+// calibration, which builds its own, sets cfg.Workers the same way), so
+// -workers reaches the MD layer.
+func (s *Session) newMapping(sm *sim.Sim, tor topo.Torus, cfg mdmap.Config) *mdmap.Mapping {
+	cfg.Workers = s.Workers
+	return mdmap.New(sm, machine.New(sm, tor, noc.DefaultModel()), cfg)
 }
 
 // armAbort installs the session's cooperative-abort hook on sm (a
@@ -228,20 +248,6 @@ func sweep[T any](s *Session, n int, job func(i int) T) []T {
 	return out
 }
 
-// workers is the process-default pool size experiment sweeps use for
-// their independent simulation instances. Atomic because benchmarks and
-// tests flip it around concurrent experiment runs.
-var workers int64 = 1
-
-// SetWorkers sets the process-default number of goroutines experiments
-// may use: 1 (the default) runs everything on the calling goroutine, 0
-// or a negative value resolves to GOMAXPROCS. Experiment.Run snapshots
-// it into each run's session; see Session.Workers.
-func SetWorkers(n int) { atomic.StoreInt64(&workers, int64(n)) }
-
-// Workers reports the current default sweep pool size.
-func Workers() int { return int(atomic.LoadInt64(&workers)) }
-
 // Fidelity tiers. FidelityDES answers every query by running the
 // event-driven simulator; FidelityAnalytic answers from the closed-form
 // fast-path tier (internal/analytic) where an experiment supports it.
@@ -249,10 +255,6 @@ const (
 	FidelityDES      = "des"
 	FidelityAnalytic = "analytic"
 )
-
-// fidelity is the process-default simulation tier; the zero value means
-// FidelityDES. Atomic for the same reason as workers.
-var fidelity atomic.Value
 
 // ParseFidelity validates a -fidelity flag value and returns the
 // canonical tier name.
@@ -264,54 +266,20 @@ func ParseFidelity(s string) (string, error) {
 	return "", fmt.Errorf("unknown fidelity %q (valid values: %s, %s)", s, FidelityDES, FidelityAnalytic)
 }
 
-// SetFidelity selects the process-default simulation tier. Only
-// FidelityDES and FidelityAnalytic are accepted.
-func SetFidelity(s string) error {
-	f, err := ParseFidelity(s)
+// ParsePlan parses a fault plan in the -faults flag syntax and checks
+// that every link, outage and kill it names exists on the 512-node
+// flagship, the largest machine any experiment builds; a kill beyond it
+// would hit nothing.
+func ParsePlan(s string) (*fault.Plan, error) {
+	p, err := fault.ParsePlan(s)
+	if err == nil {
+		err = p.ValidateTopo(512)
+	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fidelity.Store(f)
-	return nil
+	return &p, nil
 }
-
-// Fidelity reports the default tier (FidelityDES by default).
-func Fidelity() string {
-	if f, ok := fidelity.Load().(string); ok {
-		return f
-	}
-	return FidelityDES
-}
-
-// faultPlan is the process-default fault plan (nil = fault-free). Set
-// from the antonbench -faults flag.
-var faultPlan atomic.Pointer[fault.Plan]
-
-// SetFaultPlan installs the default fault plan snapshotted into every
-// subsequently started Experiment.Run; nil restores the fault-free
-// models. Each simulator instance gets its own injector seeded from the
-// plan, so experiment reports remain byte-identical at any worker
-// count, and a zero-rate plan reproduces the fault-free reports bit for
-// bit.
-func SetFaultPlan(p *fault.Plan) { faultPlan.Store(p) }
-
-// FaultPlan returns the currently installed default plan, or nil.
-func FaultPlan() *fault.Plan { return faultPlan.Load() }
-
-// metricsOn, when set, attaches a lifecycle recorder to every simulator
-// default sessions build. Recording is purely passive, so every
-// experiment report is byte-identical with the toggle on or off — which
-// the zero-overhead identity test pins against the golden reports.
-var metricsOn atomic.Bool
-
-// SetMetrics toggles the default for lifecycle recording. The metrics
-// experiment attaches its own recorders and does not need the toggle;
-// it exists so tests (and the serving tier) can prove recording never
-// changes a result.
-func SetMetrics(on bool) { metricsOn.Store(on) }
-
-// MetricsEnabled reports the default metrics toggle.
-func MetricsEnabled() bool { return metricsOn.Load() }
 
 // Lookup returns the experiment with the given id.
 func Lookup(id string) (Experiment, bool) {

@@ -57,7 +57,7 @@ func TestHopPath(t *testing.T) {
 }
 
 func TestOneWayLatencyHeadline(t *testing.T) {
-	if got := OneWayLatency(topo.C(1, 0, 0), 0); got != 162*sim.Ns {
+	if got := OneWayLatency(&Session{Workers: 1}, topo.C(1, 0, 0), 0); got != 162*sim.Ns {
 		t.Fatalf("headline latency = %v, want 162ns", got)
 	}
 }
@@ -65,9 +65,10 @@ func TestOneWayLatencyHeadline(t *testing.T) {
 func TestFig5Slopes(t *testing.T) {
 	// Marginal hop costs from the measured path: 76 ns per X hop, 54 ns
 	// per Y/Z hop.
-	one := OneWayLatency(hopPath(1), 0)
-	four := OneWayLatency(hopPath(4), 0)
-	five := OneWayLatency(hopPath(5), 0)
+	sess := &Session{Workers: 1}
+	one := OneWayLatency(sess, hopPath(1), 0)
+	four := OneWayLatency(sess, hopPath(4), 0)
+	five := OneWayLatency(sess, hopPath(5), 0)
 	if x := (four - one) / 3; x != 76*sim.Ns {
 		t.Fatalf("X slope = %v, want 76ns", x)
 	}
@@ -78,7 +79,7 @@ func TestFig5Slopes(t *testing.T) {
 
 func TestAntonTransferFlat(t *testing.T) {
 	// Fig. 7, Anton side: 64 messages must cost < 2x one message.
-	sess := NewSession()
+	sess := &Session{Workers: 1}
 	one := antonTransfer(sess, 1, 2048, 1)
 	many := antonTransfer(sess, 1, 2048, 64)
 	if ratio := float64(many) / float64(one); ratio > 2 {
@@ -102,7 +103,7 @@ func TestCheapExperimentsRender(t *testing.T) {
 		if !ok {
 			t.Fatalf("experiment %q missing", id)
 		}
-		out := e.Run(true)
+		out := e.RunWith(&Session{Workers: 1}, true)
 		if !strings.Contains(out, marker) {
 			t.Fatalf("%s output missing %q:\n%s", id, marker, out)
 		}
@@ -110,14 +111,14 @@ func TestCheapExperimentsRender(t *testing.T) {
 }
 
 func TestHalfBandwidthAt28Bytes(t *testing.T) {
-	out := halfbw(NewSession(), true)
+	out := halfbw(&Session{Workers: 1}, true)
 	if !strings.Contains(out, "reached at 28-byte messages") {
 		t.Fatalf("half-bandwidth point is not 28 bytes:\n%s", out)
 	}
 }
 
 func TestMigSyncNearPaper(t *testing.T) {
-	out := migsync(NewSession(), true)
+	out := migsync(&Session{Workers: 1}, true)
 	// The measured value is printed as "...: X.XX us"; accept 0.2-1.0 us
 	// around the paper's 0.56 us.
 	if !strings.Contains(out, "0.") {
@@ -129,7 +130,7 @@ func TestTable3Experiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table3 runs the full 512-node mapping")
 	}
-	out := table3(NewSession(), true)
+	out := table3(&Session{Workers: 1}, true)
 	for _, marker := range []string{"average time step", "range-limited", "FFT-based convolution", "thermostat", "x (paper: ~27x)"} {
 		if !strings.Contains(out, marker) {
 			t.Fatalf("table3 missing %q:\n%s", marker, out)
@@ -141,7 +142,7 @@ func TestFig13Experiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig13 runs the full 512-node mapping")
 	}
-	out := fig13(NewSession(), true)
+	out := fig13(&Session{Workers: 1}, true)
 	for _, marker := range []string{"HTIS", "position send", "range-limited interactions", "##"} {
 		if !strings.Contains(out, marker) {
 			t.Fatalf("fig13 missing %q:\n%s", marker, out)
@@ -153,7 +154,7 @@ func TestScalingExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling runs 8-to-512-node mappings")
 	}
-	out := scaling(NewSession(), true)
+	out := scaling(&Session{Workers: 1}, true)
 	for _, marker := range []string{"512 (8x8x8)", "comm share", "speedup"} {
 		if !strings.Contains(out, marker) {
 			t.Fatalf("scaling output missing %q:\n%s", marker, out)

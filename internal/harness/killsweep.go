@@ -85,13 +85,11 @@ func ibKillReduce(sess *Session, p fault.Plan, bytes int) (sim.Dur, cluster.Reco
 // mdKillSteps runs a small MD mapping for steps steps under plan p and
 // returns the per-step critical-path times.
 func mdKillSteps(sess *Session, p fault.Plan, steps int) []sim.Dur {
-	s := faultSim(sess, p)
-	m := machine.New(s, topo.NewTorus(4, 4, 4), noc.DefaultModel())
 	cfg := mdmap.DefaultConfig()
 	cfg.Atoms = 4000
 	cfg.MigrationInterval = 0
 	cfg.GridN = 16
-	mp := mdmap.New(s, m, cfg)
+	mp := sess.newMapping(faultSim(sess, p), topo.NewTorus(4, 4, 4), cfg)
 	out := make([]sim.Dur, steps)
 	for i := range out {
 		out[i] = mp.RunStep().Total

@@ -30,13 +30,8 @@ func hopPath(h int) topo.Coord {
 }
 
 // OneWayLatency measures a single counted remote write from slice0 at the
-// origin to slice0 at dst on a fresh 512-node machine configured from the
-// process-wide defaults.
-func OneWayLatency(dst topo.Coord, bytes int) sim.Dur {
-	return oneWayLatency(NewSession(), dst, bytes)
-}
-
-func oneWayLatency(sess *Session, dst topo.Coord, bytes int) sim.Dur {
+// origin to slice0 at dst on a fresh 512-node machine the session builds.
+func OneWayLatency(sess *Session, dst topo.Coord, bytes int) sim.Dur {
 	s := sess.NewSim()
 	m := machine.Default512(s)
 	return measureWrite(m, topo.C(0, 0, 0), dst, bytes, false)
@@ -107,7 +102,7 @@ func fig6(sess *Session, quick bool) string {
 	t.Row("link adapters + passive torus wire (both sides)", fmt.Sprintf("%.0f", model.AdapterPair[topo.X].Ns()), "20+20")
 	t.Row("destination on-chip ring traversal (3 router hops)", fmt.Sprintf("%.0f", model.DstRing.Ns()), "25")
 	t.Row("memory write + counter increment + successful poll", fmt.Sprintf("%.0f", model.Deliver.Ns()), "36")
-	total := oneWayLatency(sess, topo.C(1, 0, 0), 0)
+	total := OneWayLatency(sess, topo.C(1, 0, 0), 0)
 	t.Row("end-to-end (measured on the event simulator)", fmt.Sprintf("%.0f", total.Ns()), "162")
 	out += t.String()
 	return out
@@ -139,7 +134,7 @@ var table1Survey = []struct {
 func table1(sess *Session, quick bool) string {
 	out := header("Table 1: survey of published inter-node software-to-software latency")
 	t := NewTable("machine", "latency (us)", "date")
-	anton := oneWayLatency(sess, topo.C(1, 0, 0), 0)
+	anton := OneWayLatency(sess, topo.C(1, 0, 0), 0)
 	t.Row("Anton (measured here)", fmt.Sprintf("%.2f", anton.Us()), "2009")
 	for _, row := range table1Survey {
 		t.Row(row.machine, fmt.Sprintf("%.2f", row.us), row.date)

@@ -21,11 +21,7 @@ func agedStepTime(mp *mdmap.Mapping, age int) sim.Dur {
 
 func fig11(sess *Session, quick bool) string {
 	out := header("Figure 11: step time evolution with and without bond program regeneration")
-	s := sess.NewSim()
-	m := machine.Default512(s)
-	cfg := mdmap.DefaultConfig()
-	cfg.MigrationInterval = 0
-	mp := mdmap.New(s, m, cfg)
+	mp := dhfrMapping(sess, 23558, 0)
 
 	const regenPeriod = 120_000
 	sample := 400_000
@@ -69,12 +65,7 @@ func fig12(sess *Session, quick bool) string {
 	// independent and run on the experiment worker pool.
 	avgs := sweep(sess, len(intervals), func(k int) sim.Dur {
 		iv := intervals[k]
-		s := sess.NewSim()
-		m := machine.Default512(s)
-		cfg := mdmap.DefaultConfig()
-		cfg.Atoms = 17758
-		cfg.MigrationInterval = iv
-		mp := mdmap.New(s, m, cfg)
+		mp := dhfrMapping(sess, 17758, iv)
 		steps := 2 * iv
 		if steps < 4 {
 			steps = 4
@@ -97,14 +88,11 @@ func fig12(sess *Session, quick bool) string {
 
 func fig13(sess *Session, quick bool) string {
 	out := header("Figure 13: machine activity for two time steps (logic analyzer)")
-	s := sess.NewSim()
-	m := machine.Default512(s)
-	cfg := mdmap.DefaultConfig()
-	cfg.MigrationInterval = 0
-	mp := mdmap.New(s, m, cfg)
+	mp := dhfrMapping(sess, 23558, 0)
+	s := mp.M.Sim
 	tr := trace.New()
 	mp.Tracer = tr
-	attachLinkTrace(m, tr)
+	attachLinkTrace(mp.M, tr)
 	start := s.Now()
 	mp.RunStep() // range-limited
 	mp.RunStep() // long-range

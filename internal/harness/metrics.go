@@ -215,13 +215,8 @@ func traceScenario(sess *Session) *metrics.Recorder {
 	return rec
 }
 
-// MetricsArtifacts runs the metrics experiment with a session snapshotted
-// from the process-wide defaults and returns the rendered report, the
-// BENCH_metrics.json payload, and the chrome-trace export.
-func MetricsArtifacts(quick bool) Artifacts {
-	return metricsArtifacts(NewSession(), quick)
-}
-
+// metricsArtifacts runs the metrics experiment and returns the rendered
+// report, the BENCH_metrics.json payload, and the chrome-trace export.
 func metricsArtifacts(sess *Session, quick bool) Artifacts {
 	model := noc.DefaultModel()
 	var b strings.Builder

@@ -11,12 +11,9 @@ import (
 // sweep worker count, because every sweep point owns a private simulator
 // and recorder and shard histograms merge exactly in index order.
 func TestMetricsArtifactsWorkerIndependent(t *testing.T) {
-	defer SetWorkers(Workers())
-	SetWorkers(1)
-	want := MetricsArtifacts(true)
+	want := metricsArtifacts(&Session{Workers: 1}, true)
 	for _, w := range []int{4, 8, 0} {
-		SetWorkers(w)
-		got := MetricsArtifacts(true)
+		got := metricsArtifacts(&Session{Workers: w}, true)
 		if got.Report != want.Report {
 			t.Fatalf("workers=%d: report differs from sequential run\n--- sequential ---\n%s\n--- workers=%d ---\n%s",
 				w, want.Report, w, got.Report)
@@ -39,11 +36,8 @@ func TestMetricsToggleIdentity(t *testing.T) {
 	if !ok {
 		t.Fatal("fig6 not registered")
 	}
-	SetMetrics(false)
-	want := fig6.Run(false)
-	SetMetrics(true)
-	defer SetMetrics(false)
-	if got := fig6.Run(false); got != want {
+	want := fig6.RunWith(&Session{Workers: 1}, false)
+	if got := fig6.RunWith(&Session{Workers: 1, Metrics: true}, false); got != want {
 		t.Fatalf("metrics-on fig6 report differs from metrics-off:\n--- off ---\n%s\n--- on ---\n%s", want, got)
 	}
 }

@@ -3,9 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"anton/internal/machine"
 	"anton/internal/mdmap"
-	"anton/internal/noc"
 	"anton/internal/sim"
 	"anton/internal/topo"
 )
@@ -36,12 +34,10 @@ func scaling(sess *Session, quick bool) string {
 	// sweep runs on the experiment worker pool.
 	pts := sweep(sess, len(configs), func(k int) point {
 		c := configs[k]
-		s := sess.NewSim()
-		m := machine.New(s, c.tor, noc.DefaultModel())
 		cfg := mdmap.DefaultConfig()
 		cfg.MigrationInterval = 0
 		cfg.GridN = c.gridN
-		mp := mdmap.New(s, m, cfg)
+		mp := sess.newMapping(sess.NewSim(), c.tor, cfg)
 		rl := mp.RunStep()
 		lr := mp.RunStep()
 		return point{c.tor.Nodes(), (rl.Total + lr.Total) / 2, (rl.Comm + lr.Comm) / 2}

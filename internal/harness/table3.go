@@ -4,21 +4,26 @@ import (
 	"fmt"
 
 	"anton/internal/cluster"
-	"anton/internal/machine"
 	"anton/internal/mdmap"
 	"anton/internal/sim"
+	"anton/internal/topo"
 )
+
+// dhfrMapping maps the paper's production DHFR configuration, resized to
+// atoms and migrating every migrate steps (0 disables migration), onto a
+// fresh 512-node machine: the workload of Table 3 and Figures 11-13.
+func dhfrMapping(sess *Session, atoms, migrate int) *mdmap.Mapping {
+	cfg := mdmap.DefaultConfig()
+	cfg.Atoms = atoms
+	cfg.MigrationInterval = migrate
+	return sess.newMapping(sess.NewSim(), topo.NewTorus(8, 8, 8), cfg)
+}
 
 // antonStepTimes runs the DHFR benchmark mapping on a 512-node machine and
 // returns averaged range-limited and long-range step timings (migration
 // disabled, matching the per-step-type profiling of Table 3).
 func antonStepTimes(sess *Session, atoms int) (rl, lr mdmap.StepTiming) {
-	s := sess.NewSim()
-	m := machine.Default512(s)
-	cfg := mdmap.DefaultConfig()
-	cfg.Atoms = atoms
-	cfg.MigrationInterval = 0
-	mp := mdmap.New(s, m, cfg)
+	mp := dhfrMapping(sess, atoms, 0)
 	// Average two of each step kind (the steps are deterministic, so two
 	// suffice to confirm stability).
 	var rls, lrs []mdmap.StepTiming
@@ -53,12 +58,11 @@ func antonStepTimes(sess *Session, atoms int) (rl, lr mdmap.StepTiming) {
 }
 
 // Table3Sweep runs the Table 3 step-time measurement for several system
-// sizes, one independent machine per size, on the experiment worker pool
-// (see SetWorkers). It returns the averaged per-step total for each size
-// in input order; the per-size results are identical for any worker
-// count. This is the workload behind BenchmarkTable3Sweep.
-func Table3Sweep(atomCounts []int) []sim.Dur {
-	sess := NewSession()
+// sizes, one independent machine per size, on the session's worker pool.
+// It returns the averaged per-step total for each size in input order;
+// the per-size results are identical for any worker count. This is the
+// workload behind BenchmarkTable3Sweep.
+func Table3Sweep(sess *Session, atomCounts []int) []sim.Dur {
 	return sweep(sess, len(atomCounts), func(k int) sim.Dur {
 		rl, lr := antonStepTimes(sess, atomCounts[k])
 		return (rl.Total + lr.Total) / 2

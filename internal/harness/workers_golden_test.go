@@ -14,17 +14,14 @@ func TestWorkersGoldenIdentity(t *testing.T) {
 	if testing.Short() {
 		ids = ids[:3]
 	}
-	defer SetWorkers(Workers())
 	for _, id := range ids {
 		e, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
 		}
-		SetWorkers(1)
-		want := e.Run(true)
+		want := e.RunWith(&Session{Workers: 1}, true)
 		for _, w := range []int{2, 8} {
-			SetWorkers(w)
-			if got := e.Run(true); got != want {
+			if got := e.RunWith(&Session{Workers: w}, true); got != want {
 				t.Fatalf("%s: workers=%d report differs from workers=1 report\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
 					id, w, want, w, got)
 			}

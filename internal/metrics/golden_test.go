@@ -22,7 +22,11 @@ var update = flag.Bool("update", false, "rewrite the golden files with the curre
 //
 //	go test ./internal/metrics -run Golden -update
 func TestGoldenArtifacts(t *testing.T) {
-	a := harness.MetricsArtifacts(true)
+	e, ok := harness.Lookup("metrics")
+	if !ok {
+		t.Fatal("experiment metrics not registered")
+	}
+	a := e.ArtifactsWith(&harness.Session{Workers: 1}, true)
 	for _, g := range []struct {
 		file string
 		got  []byte

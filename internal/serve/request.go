@@ -83,9 +83,10 @@ type NormRequest struct {
 // rewrites it into canonical form: the fidelity resolved to its tier
 // name, the fault plan parsed and re-rendered through the exact
 // round-tripping Plan.String() so equivalent spellings share a digest,
-// and the analytic-tier refusals (unknown tier, event-driven-only
-// experiment, fault plan at analytic fidelity) turned into typed
-// errors.
+// and the refusals (unknown tier, event-driven-only experiment, fault
+// plan at analytic fidelity, a plan naming links or nodes beyond 512)
+// turned into typed errors. The last three come from the harness's
+// Experiment.Check and ParsePlan, which antonbench applies too.
 func Normalize(r Request) (*NormRequest, error) {
 	e, ok := harness.Lookup(r.Experiment)
 	if !ok {
@@ -106,26 +107,15 @@ func Normalize(r Request) (*NormRequest, error) {
 	}
 	n := &NormRequest{Experiment: e, Fidelity: f, Quick: r.Quick, Workers: r.Workers, Metrics: r.Metrics,
 		Timeout: time.Duration(r.TimeoutMs) * time.Millisecond}
-	if f == harness.FidelityAnalytic {
-		if !e.Analytic {
-			return nil, &BadRequestError{Code: "analytic-refused",
-				Msg: fmt.Sprintf("experiment %q is event-driven only and has no analytic tier; run it at fidelity %q", e.ID, harness.FidelityDES)}
-		}
-		if r.Faults != "" {
-			return nil, &BadRequestError{Code: "analytic-refused",
-				Msg: "the analytic tier models a fault-free machine and refuses fault plans; drop faults or use fidelity \"des\""}
-		}
+	if err := e.Check(f, r.Faults != ""); err != nil {
+		return nil, &BadRequestError{Code: "analytic-refused", Msg: err.Error()}
 	}
 	if r.Faults != "" {
-		plan, err := fault.ParsePlan(r.Faults)
+		plan, err := harness.ParsePlan(r.Faults)
 		if err != nil {
 			return nil, &BadRequestError{Code: "bad-plan", Msg: fmt.Sprintf("faults: %v", err)}
 		}
-		// Every experiment machine is at most the 512-node flagship.
-		if err := plan.ValidateTopo(512); err != nil {
-			return nil, &BadRequestError{Code: "bad-plan", Msg: fmt.Sprintf("faults: %v", err)}
-		}
-		n.Plan = &plan
+		n.Plan = plan
 		n.Faults = plan.String()
 	}
 	return n, nil
