@@ -6,12 +6,13 @@ import (
 	"anton/internal/harness"
 )
 
-// BenchmarkKernel times the event kernel on the perf-gate workloads the
-// committed BENCH_pdes.json baseline tracks. The simulated event count
-// is attached as a custom metric; it is a pure function of the model —
-// only the host wall clock changes between runs. cmd/benchgate runs the
-// same workloads (via harness.KernelBenchmarks) and gates CI on the
-// wall-time trajectory.
+// BenchmarkKernel times the event kernel on the kernel workloads of the
+// benchmark gate, the kernel/<name> rows of the committed BENCH_gate.json.
+// The simulated event count is attached as a custom metric; it is a pure
+// function of the model — only the host wall clock changes between runs.
+// cmd/benchgate runs the same workloads (via harness.KernelBenchmarks)
+// and gates CI on their event counts, wall time and allocs/op
+// (-benchmem shows the last here).
 func BenchmarkKernel(b *testing.B) {
 	for _, bm := range harness.KernelBenchmarks() {
 		b.Run(bm.Name, func(b *testing.B) {

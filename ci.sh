@@ -4,23 +4,23 @@
 # hard-failure recovery, checkpoint/restart, the analytic fast-path
 # tier, the HTTP serving tier with its cache-equivalence and stress
 # batteries), the golden-identity gate (every report byte-identical at
-# any -workers setting), the 512-node report goldens at -quick, the
-# event-kernel perf-trajectory gate against
-# the committed BENCH_pdes.json, the analytic fast-path gate against
-# BENCH_analytic.json (exact answer checksums plus the >=1000x per-query
-# speedup floor), and the serving-tier load gate against BENCH_serve.json
-# (exact response checksum, latency within SERVE_TOLERANCE).
+# any -workers setting), the 512-node report goldens at -quick, and the
+# benchmark gate against the committed BENCH_gate.json: the event
+# kernel, the analytic fast path and the serving tier's load mix, each
+# field gated by the rule written next to it (exact event counts,
+# checksums and cache accounting, the >=1000x analytic speedup floor,
+# wall time, allocs/op, latency and throughput within a tolerance).
 #
 # Usage: ./ci.sh
 #
 # Environment:
-#   BENCH_TOLERANCE  relative wall-time regression that fails the perf
-#                    gate (default 0.15; CI runners with noisy
+#   BENCH_TOLERANCE  relative kernel wall-time regression that fails the
+#                    benchmark gate (default 0.15; CI runners with noisy
 #                    neighbours set it looser). After a deliberate perf
 #                    or model change, re-baseline with:
 #                    go run ./cmd/benchgate -update
-#   SERVE_TOLERANCE  relative latency/throughput regression that fails
-#                    the serving-tier load gate (default 0.50; the
+#   SERVE_TOLERANCE  relative serve latency/throughput regression that
+#                    fails the benchmark gate (default 0.50; the
 #                    checksum and cache accounting are always exact).
 set -eu
 
@@ -270,19 +270,17 @@ for id in table3 scaling fig13 fig11 fig12; do
 	cmp "$tmpdir/$id-quick.out" "cmd/antonbench/testdata/$id-quick.golden"
 done
 
-stage "perf gates (BENCH_pdes.json, BENCH_analytic.json, BENCH_serve.json)"
-# Time the event kernel on the gate workloads and compare wall time
-# against the committed baseline (exact event counts are part of the
-# contract), then gate the analytic fast-path tier:
-# exact answer checksums (the fit fingerprint) and the >=1000x
-# per-query speedup floor over one equivalent DES run. Finally replay
-# the committed serving-tier load mix against an in-process antonserve:
-# the response checksum and cache accounting are pinned exactly, the
-# client-observed p50/p99/throughput within SERVE_TOLERANCE (default
-# 0.50). Regenerates all three artifacts into $tmpdir for inspection.
-"$tmpdir/bin/benchgate" -baseline BENCH_pdes.json -out "$tmpdir/BENCH_pdes.json" \
-	-analytic-baseline BENCH_analytic.json -analytic-out "$tmpdir/BENCH_analytic.json" \
-	-serve-baseline BENCH_serve.json -serve-out "$tmpdir/BENCH_serve.json"
+stage "benchmark gate (BENCH_gate.json)"
+# Measure every gate workload — the event kernel, the analytic fast
+# path, and the default load mix against an in-process antonserve — and
+# compare each field against the committed baseline by the rule written
+# next to it: event counts, answer checksums and the load mix's response
+# checksum and cache accounting exactly, the analytic per-query speedup
+# against its 1000x floor, and wall time, allocs/op, latency and
+# throughput within their tolerances (BENCH_TOLERANCE and
+# SERVE_TOLERANCE override theirs). Writes the fresh rows, with the host
+# that measured them, into $tmpdir for inspection.
+"$tmpdir/bin/benchgate" -baseline BENCH_gate.json -out "$tmpdir/BENCH_gate.json"
 
 stage "done"
 echo "CI checks passed in $((stage_start - ci_start))s."

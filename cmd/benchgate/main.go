@@ -1,53 +1,50 @@
-// Command benchgate is the event-kernel perf-trajectory gate. It times
-// the event kernel on the shared benchmark workloads
-// (harness.KernelBenchmarks), then compares host wall time per operation
-// against the committed baseline BENCH_pdes.json and exits nonzero on a
-// regression beyond the tolerance.
+// Command benchgate is the repository's benchmark gate. It measures
+// every gate workload — the event kernel (harness.KernelBenchmarks), the
+// analytic fast path (harness.AnalyticBenchmarks) and the serving tier
+// (the default load mix against an in-process antonserve) — and compares
+// the fresh rows against the committed baseline BENCH_gate.json,
+// exiting nonzero on a regression.
 //
 // Usage:
 //
-//	benchgate [-baseline BENCH_pdes.json] [-tolerance 0.15]
-//	          [-benchtime 1s] [-out fresh.json] [-update]
+//	benchgate [-baseline BENCH_gate.json] [-out fresh.json] [-update]
+//	          [-benchtime 1s] [-repeat 3]
 //
-// The committed baseline pins two things with different strictness:
+// The file holds one row per workload, keyed by name. Every field of a
+// row carries the rule that gates it, written next to its value:
 //
-//   - events: the number of simulation events each workload fires. This
-//     is a pure function of the model — identical on every host — so any
-//     mismatch fails the gate exactly. A deliberate model change updates
-//     it via -update.
-//   - wall_ns_per_op: host wall time, inherently machine- and
-//     load-dependent, gated with a relative tolerance (default 0.15,
-//     overridable by the BENCH_TOLERANCE environment variable — CI
-//     runners with noisy neighbours set it looser).
+//   - exact: the fresh value must equal the baseline's. Event counts,
+//     answer checksums and the load mix's request and cache accounting
+//     are pure functions of the model, identical on every host.
+//   - floor: the fresh value must not fall below the floor (the analytic
+//     tier's 1000x per-query speedup over one equivalent DES run).
+//   - relative: the fresh value may be worse than the baseline's by the
+//     tolerance, a fraction of the baseline, or by the absolute slack,
+//     whichever is larger. An environment variable named by the field
+//     overrides its tolerance: BENCH_TOLERANCE for kernel wall time,
+//     SERVE_TOLERANCE for the serve latencies and throughput.
+//   - recorded: kept for the record and never compared.
 //
-// -update rewrites the baseline from the fresh measurements instead of
-// comparing, which is how both deliberate perf trajectory changes and
-// model changes land.
-//
-// The command also gates the analytic fast-path tier against
-// BENCH_analytic.json: each workload answers a closed-form query batch
-// (harness.AnalyticBenchmarks), and the gate pins the answer checksum
-// exactly — the committed artifact is a machine-readable fingerprint of
-// the calibrated model — and requires the per-query speedup over one
-// equivalent DES run to stay above the -min-speedup floor (default
-// 1000x, the fastpath experiment's acceptance contract). -update
-// rewrites both baselines.
-//
-// Finally it gates the serving tier against BENCH_serve.json: the
-// committed deterministic load mix is replayed against an in-process
-// antonserve instance, the response checksum and cache accounting are
-// pinned exactly, and the client-observed p50/p99/throughput gated
-// within -serve-tolerance (default 0.50, overridable by the
-// SERVE_TOLERANCE environment variable). -update rewrites this
-// baseline too.
+// A field's rule is declared where its row is measured (measure) and
+// enters the file with the field; from then on the rule in the file
+// governs. -update rewrites the baseline's values from a fresh
+// measurement and keeps each field's rule, so a rule changes by an edit
+// to the file. -out also writes the fresh rows to a file. Every file
+// benchgate writes records the host that measured it. Host wall time is
+// the minimum of -repeat measurements.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -56,65 +53,84 @@ import (
 	"anton/internal/serve"
 )
 
-// benchSchema versions the BENCH_pdes.json layout.
-const benchSchema = "anton-bench/v1"
+// schema versions the gate file layout.
+const schema = "anton-gate/v1"
 
-// analyticSchema versions the BENCH_analytic.json layout.
-const analyticSchema = "anton-analytic/v1"
+// The field rules, and the two directions of a relative field.
+const (
+	ruleExact    = "exact"
+	ruleFloor    = "floor"
+	ruleRelative = "relative"
+	ruleRecorded = "recorded"
+	lower        = "lower"
+	higher       = "higher"
+)
 
-// Result is one workload measurement.
-type Result struct {
-	Name         string  `json:"name"`
-	WallNsPerOp  int64   `json:"wall_ns_per_op"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-// File is the BENCH_pdes.json payload.
+// File is one gate file: the host that measured it and a row per
+// workload.
 type File struct {
-	Schema  string   `json:"schema"`
-	Results []Result `json:"results"`
+	Schema string `json:"schema"`
+	// Host is absent from rows carried over from files that predate it.
+	Host *Host `json:"host,omitempty"`
+	Rows []Row `json:"rows"`
 }
 
-// AnalyticResult is one analytic fast-path workload measurement.
-type AnalyticResult struct {
+// Host describes the machine that measured a file.
+type Host struct {
+	CPUs       int    `json:"cpus"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+// Row is one workload's measurement.
+type Row struct {
+	Name   string  `json:"name"`
+	Fields []Field `json:"fields"`
+}
+
+// Field is one measured value and the rule that gates it.
+type Field struct {
 	Name string `json:"name"`
-	// Queries is the number of closed-form queries per batch and
-	// ChecksumPs the sum of their answers in picoseconds — both pure
-	// functions of the model, gated exactly (the fit fingerprint).
-	Queries    int   `json:"queries"`
-	ChecksumPs int64 `json:"checksum_ps"`
-	// Wall-time measurements, machine-dependent: recorded for the record,
-	// only the speedup floor is gated.
-	AnalyticNsPerQuery float64 `json:"analytic_ns_per_query"`
-	DESNsPerRun        int64   `json:"des_ns_per_run"`
-	Speedup            float64 `json:"speedup"`
-	QueriesPerSec      float64 `json:"queries_per_sec"`
+	// Value is the value's JSON text; exact fields compare it byte for
+	// byte.
+	Value json.RawMessage `json:"value"`
+	Rule  string          `json:"rule"`
+	// Floor is the least value a floor field may take.
+	Floor float64 `json:"floor,omitempty"`
+	// Better orients a relative field (lower or higher). Tolerance and
+	// Slack bound how much worse it may get, relatively and absolutely;
+	// Env names the environment variable that overrides Tolerance.
+	Better    string  `json:"better,omitempty"`
+	Tolerance float64 `json:"tolerance,omitempty"`
+	Slack     float64 `json:"slack,omitempty"`
+	Env       string  `json:"env,omitempty"`
 }
 
-// AnalyticFile is the BENCH_analytic.json payload.
-type AnalyticFile struct {
-	Schema  string           `json:"schema"`
-	Results []AnalyticResult `json:"results"`
+// text is a value's JSON text. A value JSON cannot hold (NaN, ±Inf) has
+// none, and fails every rule but recorded.
+func text(v any) json.RawMessage {
+	data, _ := json.Marshal(v)
+	return data
+}
+
+func exact(name string, v any) Field    { return Field{Name: name, Value: text(v), Rule: ruleExact} }
+func recorded(name string, v any) Field { return Field{Name: name, Value: text(v), Rule: ruleRecorded} }
+
+func floor(name string, v, least float64) Field {
+	return Field{Name: name, Value: text(v), Rule: ruleFloor, Floor: least}
+}
+
+func relative(name string, v float64, better string, tolerance, slack float64, env string) Field {
+	return Field{Name: name, Value: text(v), Rule: ruleRelative,
+		Better: better, Tolerance: tolerance, Slack: slack, Env: env}
 }
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_pdes.json", "committed baseline to compare against (and rewrite with -update)")
-	tolerance := flag.Float64("tolerance", defaultTolerance(), "relative wall-time regression that fails the gate (BENCH_TOLERANCE env overrides the default)")
+	baseline := flag.String("baseline", "BENCH_gate.json", "committed baseline to compare against (and rewrite with -update)")
+	out := flag.String("out", "", "also write the fresh measurements to this file")
+	update := flag.Bool("update", false, "rewrite the baseline's values from the fresh measurements instead of comparing")
 	benchtime := flag.String("benchtime", "1s", "minimum measurement time per workload")
 	repeat := flag.Int("repeat", 3, "measurements per point; the minimum wall time is kept (noise robustness)")
-	out := flag.String("out", "", "also write the fresh measurements to this file")
-	update := flag.Bool("update", false, "rewrite the baselines from the fresh measurements instead of comparing")
-	analyticBaseline := flag.String("analytic-baseline", "BENCH_analytic.json",
-		"committed analytic fast-path baseline (empty = skip the analytic gate)")
-	analyticOut := flag.String("analytic-out", "", "also write the fresh analytic measurements to this file")
-	minSpeedup := flag.Float64("min-speedup", 1000,
-		"minimum analytic-vs-DES per-query speedup that passes the analytic gate")
-	serveBaseline := flag.String("serve-baseline", "BENCH_serve.json",
-		"committed serving-tier baseline (empty = skip the serve gate)")
-	serveOut := flag.String("serve-out", "", "also write the fresh serve measurements to this file")
-	serveTolerance := flag.Float64("serve-tolerance", defaultServeTolerance(),
-		"relative latency/throughput regression that fails the serve gate (SERVE_TOLERANCE env overrides the default)")
 	testing.Init()
 	flag.Parse()
 	if err := flag.Set("test.benchtime", *benchtime); err != nil {
@@ -123,87 +139,35 @@ func main() {
 	if *repeat < 1 {
 		fatalf("-repeat must be at least 1")
 	}
-
-	fresh := measure(*repeat)
-	if *out != "" {
-		if err := writeFile(*out, fresh); err != nil {
+	base, err := read(*baseline)
+	if err != nil && !(*update && errors.Is(err, fs.ErrNotExist)) {
+		fatalf("%v (-update creates a missing baseline)", err)
+	}
+	if !*update {
+		if err := overrideTolerances(&base); err != nil {
 			fatalf("%v", err)
 		}
 	}
-	var freshA AnalyticFile
-	if *analyticBaseline != "" {
-		freshA = measureAnalytic(*repeat)
-		if *analyticOut != "" {
-			if err := writeAnalyticFile(*analyticOut, freshA); err != nil {
-				fatalf("%v", err)
-			}
-		}
-	}
-	// The serve gate replays the committed load config (or the default
-	// when creating the baseline) against an in-process server.
-	var freshS, baseS serve.BenchFile
-	if *serveBaseline != "" {
-		cfg := serve.LoadConfig{Requests: 200, Clients: 8}
-		var seed uint64 = 1
-		if !*update {
-			var err error
-			baseS, err = readServeFile(*serveBaseline)
-			if err != nil {
-				fatalf("%v (run with -update to create the baseline)", err)
-			}
-			cfg.Requests, cfg.Clients, seed = baseS.Result.Requests, baseS.Result.Clients, baseS.Seed
-		}
-		freshS = measureServe(seed, cfg)
-		if *serveOut != "" {
-			if err := writeServeFile(*serveOut, freshS); err != nil {
-				fatalf("%v", err)
-			}
+
+	host := Host{CPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Go: runtime.Version()}
+	fmt.Printf("benchgate: host %d CPUs, GOMAXPROCS %d, %s\n", host.CPUs, host.GOMAXPROCS, host.Go)
+	fresh := File{Schema: schema, Host: &host, Rows: measure(*repeat)}
+	if *out != "" {
+		if err := write(*out, fresh); err != nil {
+			fatalf("%v", err)
 		}
 	}
 	if *update {
-		if err := writeFile(*baseline, fresh); err != nil {
+		if err := write(*baseline, keepRules(base, fresh)); err != nil {
 			fatalf("%v", err)
 		}
-		fmt.Printf("benchgate: wrote baseline %s (%d results)\n", *baseline, len(fresh.Results))
-		if *analyticBaseline != "" {
-			if err := writeAnalyticFile(*analyticBaseline, freshA); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("benchgate: wrote baseline %s (%d results)\n", *analyticBaseline, len(freshA.Results))
-		}
-		if *serveBaseline != "" {
-			if err := writeServeFile(*serveBaseline, freshS); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("benchgate: wrote baseline %s\n", *serveBaseline)
-		}
+		fmt.Printf("benchgate: wrote baseline %s (%d rows)\n", *baseline, len(fresh.Rows))
 		return
 	}
-
-	base, err := readFile(*baseline)
-	if err != nil {
-		fatalf("%v (run with -update to create the baseline)", err)
+	if !compare(os.Stdout, base, fresh) {
+		os.Exit(1)
 	}
-	ok := compare(base, fresh, *tolerance)
-	if *analyticBaseline != "" {
-		baseA, err := readAnalyticFile(*analyticBaseline)
-		if err != nil {
-			fatalf("%v (run with -update to create the baseline)", err)
-		}
-		if !compareAnalytic(baseA, freshA, *minSpeedup) {
-			ok = false
-		}
-	}
-	if *serveBaseline != "" {
-		if !serve.CompareBench(baseS, freshS, *serveTolerance) {
-			ok = false
-		}
-	}
-	if ok {
-		fmt.Println("benchgate: PASS")
-		return
-	}
-	os.Exit(1)
+	fmt.Println("benchgate: PASS")
 }
 
 func fatalf(format string, args ...interface{}) {
@@ -211,44 +175,8 @@ func fatalf(format string, args ...interface{}) {
 	os.Exit(2)
 }
 
-// defaultServeTolerance is 0.50 unless the SERVE_TOLERANCE environment
-// variable overrides it. Looser than the kernel gate: an end-to-end HTTP
-// load run sees scheduler and network-stack noise the event kernel
-// does not.
-func defaultServeTolerance() float64 {
-	if v := os.Getenv("SERVE_TOLERANCE"); v != "" {
-		t, err := strconv.ParseFloat(v, 64)
-		if err != nil || t < 0 {
-			fatalf("SERVE_TOLERANCE=%q is not a non-negative number", v)
-		}
-		return t
-	}
-	return 0.50
-}
-
-// measureServe runs the committed load mix against an in-process server
-// on a loopback listener (no external moving parts) and packages the
-// result as a BENCH_serve.json payload.
-func measureServe(seed uint64, cfg serve.LoadConfig) serve.BenchFile {
-	srv, err := serve.New(serve.Config{Sched: serve.SchedConfig{DESWorkers: 2, AnalyticWorkers: 1}})
-	if err != nil {
-		fatalf("serve: %v", err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Close()
-	cfg.Seed = seed
-	st, err := serve.RunLoad(ts.URL+"/api/v1", nil, cfg)
-	if err != nil {
-		fatalf("serve: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "benchgate: serve %d requests  p50 %.2f ms  p99 %.2f ms  %.0f req/s  checksum %s\n",
-		st.Requests, st.P50Ms, st.P99Ms, st.RPS, st.Checksum)
-	return serve.BenchFile{Schema: serve.BenchSchema, Seed: seed, Result: st}
-}
-
-func readServeFile(path string) (serve.BenchFile, error) {
-	var f serve.BenchFile
+func read(path string) (File, error) {
+	var f File
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return f, err
@@ -256,13 +184,13 @@ func readServeFile(path string) (serve.BenchFile, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return f, fmt.Errorf("%s: %v", path, err)
 	}
-	if f.Schema != serve.BenchSchema {
-		return f, fmt.Errorf("%s: schema %q, want %q", path, f.Schema, serve.BenchSchema)
+	if f.Schema != schema {
+		return f, fmt.Errorf("%s: schema %q, want %q", path, f.Schema, schema)
 	}
 	return f, nil
 }
 
-func writeServeFile(path string, f serve.BenchFile) error {
+func write(path string, f File) error {
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
@@ -270,58 +198,173 @@ func writeServeFile(path string, f serve.BenchFile) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// defaultTolerance is 0.15 unless the BENCH_TOLERANCE environment
-// variable overrides it.
-func defaultTolerance() float64 {
-	if v := os.Getenv("BENCH_TOLERANCE"); v != "" {
-		t, err := strconv.ParseFloat(v, 64)
-		if err != nil || t < 0 {
-			fatalf("BENCH_TOLERANCE=%q is not a non-negative number", v)
+// overrideTolerances sets each relative field's tolerance, in place, to
+// the value of the environment variable the field names, when it is set.
+func overrideTolerances(f *File) error {
+	for _, r := range f.Rows {
+		for i := range r.Fields {
+			fd := &r.Fields[i]
+			v := os.Getenv(fd.Env)
+			if fd.Env == "" || v == "" {
+				continue
+			}
+			t, err := strconv.ParseFloat(v, 64)
+			if err != nil || !(t >= 0) {
+				return fmt.Errorf("%s=%q is not a non-negative number", fd.Env, v)
+			}
+			fd.Tolerance = t
 		}
-		return t
 	}
-	return 0.15
+	return nil
 }
 
-// measure times every gate workload with the testing package's
-// benchmark machinery (adaptive b.N against -benchtime), keeps the
-// minimum of repeat measurements — the statistic least disturbed by
-// scheduler and cache noise — and reports progress on stderr so CI logs
-// show where the time goes.
-func measure(repeat int) File {
-	f := File{Schema: benchSchema}
+// keepRules returns fresh with each field that base also has gated by
+// base's rule.
+func keepRules(base, fresh File) File {
+	for _, r := range fresh.Rows {
+		br, _ := lookup(base.Rows, r.Name)
+		for i, fd := range r.Fields {
+			if bf, ok := lookup(br.Fields, fd.Name); ok {
+				bf.Value = fd.Value
+				r.Fields[i] = bf
+			}
+		}
+	}
+	return fresh
+}
+
+func (r Row) key() string   { return r.Name }
+func (f Field) key() string { return f.Name }
+
+// lookup finds the element of xs with the given name.
+func lookup[T interface{ key() string }](xs []T, name string) (T, bool) {
+	for _, x := range xs {
+		if x.key() == name {
+			return x, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+// compare prints a line per baseline field with its verdict, and a line
+// per fresh row or field the baseline lacks, and reports whether every
+// baseline field was measured and passes its rule.
+func compare(w io.Writer, base, fresh File) bool {
+	ok := true
+	line := "%-18s %-22s %20s %20s  %s\n"
+	fmt.Fprintf(w, line, "row", "field", "baseline", "measured", "verdict")
+	for _, b := range base.Rows {
+		f, found := lookup(fresh.Rows, b.Name)
+		if !found {
+			fmt.Fprintf(w, line, b.Name, "", "", "-", "FAIL: not measured")
+			ok = false
+			continue
+		}
+		for _, bf := range b.Fields {
+			verdict, pass := "FAIL: not measured", false
+			ff, found := lookup(f.Fields, bf.Name)
+			if found {
+				verdict, pass = check(bf, ff)
+			}
+			ok = ok && pass
+			fmt.Fprintf(w, line, b.Name, bf.Name, bf.Value, ff.Value, verdict)
+		}
+		for _, ff := range f.Fields {
+			if _, in := lookup(b.Fields, ff.Name); !in {
+				fmt.Fprintf(w, line, b.Name, ff.Name, "-", ff.Value, "not in baseline (add with -update)")
+			}
+		}
+	}
+	for _, f := range fresh.Rows {
+		if _, in := lookup(base.Rows, f.Name); !in {
+			fmt.Fprintf(w, line, f.Name, "", "-", "", "not in baseline (add with -update)")
+		}
+	}
+	return ok
+}
+
+// check applies the baseline field's rule to the fresh field.
+func check(b, f Field) (verdict string, pass bool) {
+	switch b.Rule {
+	case ruleExact:
+		if !bytes.Equal(b.Value, f.Value) {
+			return "FAIL: must equal the baseline (model changed? re-baseline with -update)", false
+		}
+		return "ok (exact)", true
+	case ruleRecorded:
+		return "recorded", true
+	}
+	bv, err1 := strconv.ParseFloat(string(b.Value), 64)
+	fv, err2 := strconv.ParseFloat(string(f.Value), 64)
+	if err1 != nil || err2 != nil {
+		return "FAIL: not a number", false
+	}
+	switch {
+	case b.Rule == ruleFloor && fv < b.Floor:
+		return fmt.Sprintf("FAIL: below the %g floor", b.Floor), false
+	case b.Rule == ruleFloor:
+		return fmt.Sprintf("ok (floor %g)", b.Floor), true
+	case b.Rule != ruleRelative || (b.Better != lower && b.Better != higher):
+		return fmt.Sprintf("FAIL: unknown rule %q %q", b.Rule, b.Better), false
+	}
+	// delta and worse are how much worse the fresh value is, relative
+	// to the baseline and absolute.
+	delta, worse := fv/bv-1, fv-bv
+	if b.Better == higher {
+		delta, worse = -delta, -worse
+	}
+	how := fmt.Sprintf("%.1f%% worse", 100*delta)
+	if delta < 0 {
+		how = fmt.Sprintf("%.1f%% better", -100*delta)
+	}
+	limit := fmt.Sprintf("limit %.0f%%", 100*b.Tolerance)
+	if b.Slack > 0 {
+		limit += fmt.Sprintf(" or %g", b.Slack)
+	}
+	if delta > b.Tolerance && worse > b.Slack {
+		return fmt.Sprintf("FAIL: %s (%s)", how, limit), false
+	}
+	return fmt.Sprintf("ok, %s (%s)", how, limit), true
+}
+
+// measure runs every gate workload. Each row declares its fields' rules.
+func measure(repeat int) []Row {
+	var rows []Row
+	add := func(start time.Time, name string, fields ...Field) {
+		fmt.Fprintf(os.Stderr, "benchgate: measured %s in %.1fs\n", name, time.Since(start).Seconds())
+		rows = append(rows, Row{Name: name, Fields: fields})
+	}
+	// The kernel rows time each workload with the testing package's
+	// adaptive b.N and keep the fastest of repeat measurements.
 	for _, bm := range harness.KernelBenchmarks() {
+		start := time.Now()
 		var events uint64
-		var nsPerOp int64
+		var best testing.BenchmarkResult
 		for k := 0; k < repeat; k++ {
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					events = bm.Run()
 				}
 			})
-			if ns := r.NsPerOp(); k == 0 || ns < nsPerOp {
-				nsPerOp = ns
+			if k == 0 || r.NsPerOp() < best.NsPerOp() {
+				best = r
 			}
 		}
-		res := Result{Name: bm.Name, WallNsPerOp: nsPerOp, Events: events}
-		if nsPerOp > 0 {
-			res.EventsPerSec = float64(events) / (float64(nsPerOp) / 1e9)
+		var perSec float64
+		if ns := best.NsPerOp(); ns > 0 {
+			perSec = float64(events) / (float64(ns) / 1e9)
 		}
-		fmt.Fprintf(os.Stderr, "benchgate: %-6s  %12d ns/op  %10.0f events/sec  (min of %d)\n",
-			bm.Name, nsPerOp, res.EventsPerSec, repeat)
-		f.Results = append(f.Results, res)
+		add(start, "kernel/"+bm.Name,
+			exact("events", events),
+			relative("wall_ns_per_op", float64(best.NsPerOp()), lower, 0.15, 0, "BENCH_TOLERANCE"),
+			relative("allocs_per_op", float64(best.AllocsPerOp()), lower, 0.10, 0, ""),
+			recorded("events_per_sec", perSec))
 	}
-	return f
-}
-
-// measureAnalytic times every analytic fast-path workload: the query
-// batch with the testing package's benchmark machinery (ns/query needs
-// b.N adaptivity — a batch runs in microseconds), and the single
-// equivalent DES run with a plain min-of-repeat wall clock.
-func measureAnalytic(repeat int) AnalyticFile {
-	f := AnalyticFile{Schema: analyticSchema}
+	// The analytic rows time the closed-form batch with b.N (it runs in
+	// microseconds) and one equivalent DES run with a plain clock.
 	for _, bm := range harness.AnalyticBenchmarks() {
-		bm := bm
+		start := time.Now()
 		var checksum int64
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -337,160 +380,54 @@ func measureAnalytic(repeat int) AnalyticFile {
 				desNs = d
 			}
 		}
-		res := AnalyticResult{
-			Name: bm.Name, Queries: bm.Queries, ChecksumPs: checksum,
-			AnalyticNsPerQuery: nsPerQuery, DESNsPerRun: desNs,
-		}
+		var speedup, perSec float64
 		if nsPerQuery > 0 {
-			res.Speedup = float64(desNs) / nsPerQuery
-			res.QueriesPerSec = 1e9 / nsPerQuery
+			speedup, perSec = float64(desNs)/nsPerQuery, 1e9/nsPerQuery
 		}
-		fmt.Fprintf(os.Stderr, "benchgate: %-10s %10.1f ns/query  %12.0f queries/sec  DES %10d ns/run  %8.0fx  (min of %d)\n",
-			bm.Name, nsPerQuery, res.QueriesPerSec, desNs, res.Speedup, repeat)
-		f.Results = append(f.Results, res)
+		add(start, "analytic/"+bm.Name,
+			exact("queries", bm.Queries),
+			exact("checksum_ps", checksum),
+			floor("speedup", speedup, 1000),
+			recorded("analytic_ns_per_query", nsPerQuery),
+			recorded("des_ns_per_run", desNs),
+			recorded("queries_per_sec", perSec))
 	}
-	return f
+	start := time.Now()
+	cfg := serve.LoadConfig{Requests: 200, Clients: 8, Seed: 1}
+	st := measureServe(cfg)
+	add(start, "serve/default-mix",
+		exact("seed", cfg.Seed),
+		exact("requests", st.Requests),
+		exact("clients", st.Clients),
+		exact("errors", st.Errors),
+		exact("retry_attempts", st.RetryAttempts),
+		exact("distinct_digests", st.DistinctDigests),
+		exact("cache_misses", st.CacheMisses),
+		exact("checksum", st.Checksum),
+		relative("p50_ms", st.P50Ms, lower, 0.50, 5, "SERVE_TOLERANCE"),
+		relative("p99_ms", st.P99Ms, lower, 0.50, 250, "SERVE_TOLERANCE"),
+		relative("rps", st.RPS, higher, 0.50, 0, "SERVE_TOLERANCE"),
+		recorded("mean_ms", st.MeanMs),
+		recorded("wall_ms", st.WallMs),
+		recorded("cache_hits", st.CacheHits),
+		recorded("cache_joins", st.CacheJoins),
+		recorded("retried", st.Retried))
+	return rows
 }
 
-// compareAnalytic renders the analytic gate table and returns whether it
-// passes: every baseline workload must be present, answer exactly the
-// baseline's checksum over exactly its query count (the model
-// fingerprint), and keep the per-query speedup above the floor. Wall
-// times are recorded, not compared — they are machine-dependent.
-func compareAnalytic(base, fresh AnalyticFile, minSpeedup float64) bool {
-	got := map[string]AnalyticResult{}
-	for _, r := range fresh.Results {
-		got[r.Name] = r
-	}
-	ok := true
-	fmt.Printf("\n%-10s %8s %16s %12s %14s %10s  %s\n",
-		"workload", "queries", "checksum (ps)", "ns/query", "queries/sec", "speedup", "verdict")
-	for _, b := range base.Results {
-		c, found := got[b.Name]
-		if !found {
-			fmt.Printf("%-10s %8d %16d %12s %14s %10s  MISSING\n", b.Name, b.Queries, b.ChecksumPs, "-", "-", "-")
-			ok = false
-			continue
-		}
-		verdict := "ok"
-		switch {
-		case c.Queries != b.Queries || c.ChecksumPs != b.ChecksumPs:
-			verdict = fmt.Sprintf("FAIL: answered %d ps over %d queries, baseline pinned %d over %d (model changed? re-baseline with -update)",
-				c.ChecksumPs, c.Queries, b.ChecksumPs, b.Queries)
-			ok = false
-		case c.Speedup < minSpeedup:
-			verdict = fmt.Sprintf("FAIL: %.0fx speedup below the %.0fx floor", c.Speedup, minSpeedup)
-			ok = false
-		}
-		fmt.Printf("%-10s %8d %16d %12.1f %14.0f %9.0fx  %s\n",
-			c.Name, c.Queries, c.ChecksumPs, c.AnalyticNsPerQuery, c.QueriesPerSec, c.Speedup, verdict)
-	}
-	for _, c := range fresh.Results {
-		found := false
-		for _, b := range base.Results {
-			if b.Name == c.Name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Printf("%-10s %8d %16d %12.1f %14.0f %9.0fx  not in baseline (add with -update)\n",
-				c.Name, c.Queries, c.ChecksumPs, c.AnalyticNsPerQuery, c.QueriesPerSec, c.Speedup)
-		}
-	}
-	return ok
-}
-
-func readAnalyticFile(path string) (AnalyticFile, error) {
-	var f AnalyticFile
-	data, err := os.ReadFile(path)
+// measureServe runs a load mix against an in-process server on a
+// loopback listener, so the measurement has no external moving parts.
+func measureServe(cfg serve.LoadConfig) serve.LoadStats {
+	srv, err := serve.New(serve.Config{Sched: serve.SchedConfig{DESWorkers: 2, AnalyticWorkers: 1}})
 	if err != nil {
-		return f, err
+		fatalf("serve: %v", err)
 	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return f, fmt.Errorf("%s: %v", path, err)
-	}
-	if f.Schema != analyticSchema {
-		return f, fmt.Errorf("%s: schema %q, want %q", path, f.Schema, analyticSchema)
-	}
-	return f, nil
-}
-
-func writeAnalyticFile(path string, f AnalyticFile) error {
-	data, err := json.MarshalIndent(f, "", "  ")
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	st, err := serve.RunLoad(ts.URL+"/api/v1", nil, cfg)
 	if err != nil {
-		return err
+		fatalf("serve: %v", err)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func readFile(path string) (File, error) {
-	var f File
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return f, err
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return f, fmt.Errorf("%s: %v", path, err)
-	}
-	if f.Schema != benchSchema {
-		return f, fmt.Errorf("%s: schema %q, want %q", path, f.Schema, benchSchema)
-	}
-	return f, nil
-}
-
-func writeFile(path string, f File) error {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// compare renders the baseline-vs-fresh table and returns whether the
-// gate passes: every baseline point must be present, fire exactly the
-// baseline's event count, and not regress in wall time beyond the
-// tolerance.
-func compare(base, fresh File, tolerance float64) bool {
-	got := map[string]Result{}
-	for _, r := range fresh.Results {
-		got[r.Name] = r
-	}
-	inBase := map[string]bool{}
-	for _, b := range base.Results {
-		inBase[b.Name] = true
-	}
-	ok := true
-	fmt.Printf("%-16s %14s %14s %8s %14s  %s\n",
-		"workload", "baseline ns/op", "measured ns/op", "delta", "events/sec", "verdict")
-	for _, b := range base.Results {
-		c, found := got[b.Name]
-		if !found {
-			fmt.Printf("%-16s %14d %14s %8s %14s  MISSING\n", b.Name, b.WallNsPerOp, "-", "-", "-")
-			ok = false
-			continue
-		}
-		delta := float64(c.WallNsPerOp)/float64(b.WallNsPerOp) - 1
-		verdict := "ok"
-		switch {
-		case c.Events != b.Events:
-			verdict = fmt.Sprintf("FAIL: fired %d events, baseline pinned %d (model changed? re-baseline with -update)",
-				c.Events, b.Events)
-			ok = false
-		case delta > tolerance:
-			verdict = fmt.Sprintf("FAIL: wall-time regression beyond %.0f%% tolerance", 100*tolerance)
-			ok = false
-		case delta < -tolerance:
-			verdict = "ok (faster than baseline; consider ratcheting with -update)"
-		}
-		fmt.Printf("%-16s %14d %14d %+7.1f%% %14.0f  %s\n",
-			b.Name, b.WallNsPerOp, c.WallNsPerOp, 100*delta, c.EventsPerSec, verdict)
-	}
-	for _, c := range fresh.Results {
-		if !inBase[c.Name] {
-			fmt.Printf("%-16s %14s %14d %8s %14.0f  not in baseline (add with -update)\n",
-				c.Name, "-", c.WallNsPerOp, "-", c.EventsPerSec)
-		}
-	}
-	return ok
+	return st
 }

@@ -29,6 +29,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
+	"strings"
 
 	"anton/internal/analytic"
 	"anton/internal/fault"
@@ -50,13 +52,11 @@ func fidelityGate(fidelity, faults, traceOut string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("-fidelity: %v", err)
 	}
-	if f == harness.FidelityAnalytic {
-		if faults != "" {
-			return "", fmt.Errorf("-fidelity analytic models a fault-free machine and refuses fault plans; drop -faults or use -fidelity des")
-		}
-		if traceOut != "" {
-			return "", fmt.Errorf("-fidelity analytic computes the latency in closed form with no event stream to trace; drop -trace-out or use -fidelity des")
-		}
+	if err := harness.CheckFaults(f, faults != ""); err != nil {
+		return "", err
+	}
+	if f == harness.FidelityAnalytic && traceOut != "" {
+		return "", fmt.Errorf("-fidelity analytic computes the latency in closed form with no event stream to trace; drop -trace-out or use -fidelity des")
 	}
 	return f, nil
 }
@@ -67,20 +67,24 @@ func analyticLatency(tor topo.Torus, from, to topo.Coord, bytes int) sim.Dur {
 	return analytic.NewAnton(tor).WriteLatency(from, to, bytes)
 }
 
-func parseCoord(s string) (topo.Coord, error) {
-	var x, y, z int
-	if _, err := fmt.Sscanf(s, "%d,%d,%d", &x, &y, &z); err != nil {
+// parseNode parses an x,y,z coordinate, which must lie inside tor.
+func parseNode(s string, tor topo.Torus) (topo.Coord, error) {
+	var v [3]int
+	parts := strings.Split(s, ",")
+	ok := len(parts) == len(v)
+	for i := 0; ok && i < len(v); i++ {
+		var err error
+		v[i], err = strconv.Atoi(parts[i])
+		ok = err == nil
+	}
+	if !ok {
 		return topo.Coord{}, fmt.Errorf("bad coordinate %q (want x,y,z)", s)
 	}
-	return topo.C(x, y, z), nil
-}
-
-func parseTorus(s string) (topo.Torus, error) {
-	var x, y, z int
-	if _, err := fmt.Sscanf(s, "%dx%dx%d", &x, &y, &z); err != nil {
-		return topo.Torus{}, fmt.Errorf("bad torus %q (want XxYxZ)", s)
+	c := topo.C(v[0], v[1], v[2])
+	if tor.Wrap(c) != c {
+		return c, fmt.Errorf("coordinate %v is outside the %v torus", c, tor)
 	}
-	return topo.NewTorus(x, y, z), nil
+	return c, nil
 }
 
 func measure(tor topo.Torus, from, to topo.Coord, bytes int, plan *fault.Plan, record bool) (sim.Dur, fault.Stats, *metrics.Recorder) {
@@ -102,70 +106,93 @@ func measure(tor topo.Torus, from, to topo.Coord, bytes int, plan *fault.Plan, r
 	return sim.Dur(avail), m.Faults().Stats(), rec
 }
 
-func main() {
-	torusFlag := flag.String("torus", "8x8x8", "torus dimensions XxYxZ")
-	fromFlag := flag.String("from", "0,0,0", "source node coordinate")
-	toFlag := flag.String("to", "1,0,0", "destination node coordinate")
-	bytes := flag.Int("bytes", 0, "payload size (0-256)")
-	sweep := flag.Bool("sweep", false, "sweep payload sizes 0..256")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"goroutines for the payload sweep (1 = sequential; output is identical for any value)")
-	faultsFlag := flag.String("faults", "",
-		"fault plan for the measured machine (e.g. seed=7,corrupt=0.1,retry=50ns)")
-	traceOut := flag.String("trace-out", "",
-		"write a chrome://tracing JSON export of the measured run to this file")
-	fidelityFlag := flag.String("fidelity", harness.FidelityDES,
-		"simulation tier: des (event-driven) or analytic (closed-form fast path)")
-	flag.Parse()
+// config is one validated invocation.
+type config struct {
+	tor        topo.Torus
+	from, to   topo.Coord
+	bytes      int
+	sweep      bool
+	workers    int
+	plan       *fault.Plan
+	traceOut   string
+	analytical bool
+}
 
+// parseArgs parses and validates the command line. Every input the
+// measurement cannot honour is an error: a malformed or non-positive
+// torus, an endpoint outside it, a payload outside the packet's range,
+// and a fault plan naming a node the torus does not have.
+func parseArgs(args []string) (config, error) {
+	fs := flag.NewFlagSet("latency", flag.ExitOnError)
+	torusFlag := fs.String("torus", "8x8x8", "torus dimensions XxYxZ")
+	fromFlag := fs.String("from", "0,0,0", "source node coordinate")
+	toFlag := fs.String("to", "1,0,0", "destination node coordinate")
+	bytes := fs.Int("bytes", 0, "payload size (0-256)")
+	sweep := fs.Bool("sweep", false, "sweep payload sizes 0..256")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
+		"goroutines for the payload sweep (1 = sequential; output is identical for any value)")
+	faultsFlag := fs.String("faults", "",
+		"fault plan for the measured machine (e.g. seed=7,corrupt=0.1,retry=50ns)")
+	traceOut := fs.String("trace-out", "",
+		"write a chrome://tracing JSON export of the measured run to this file")
+	fidelityFlag := fs.String("fidelity", harness.FidelityDES,
+		"simulation tier: des (event-driven) or analytic (closed-form fast path)")
+	fs.Parse(args)
+
+	cfg := config{bytes: *bytes, sweep: *sweep, workers: *workers, traceOut: *traceOut}
 	fidelity, err := fidelityGate(*fidelityFlag, *faultsFlag, *traceOut)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "latency:", err)
-		os.Exit(1)
+		return cfg, err
 	}
-	analytical := fidelity == harness.FidelityAnalytic
-
-	var plan *fault.Plan
+	cfg.analytical = fidelity == harness.FidelityAnalytic
+	if cfg.tor, err = topo.ParseTorus(*torusFlag); err != nil {
+		return cfg, err
+	}
+	if cfg.from, err = parseNode(*fromFlag, cfg.tor); err != nil {
+		return cfg, fmt.Errorf("-from: %v", err)
+	}
+	if cfg.to, err = parseNode(*toFlag, cfg.tor); err != nil {
+		return cfg, fmt.Errorf("-to: %v", err)
+	}
+	if cfg.bytes < 0 || cfg.bytes > packet.MaxPayloadBytes {
+		return cfg, fmt.Errorf("-bytes %d is outside [0,%d]", cfg.bytes, packet.MaxPayloadBytes)
+	}
 	if *faultsFlag != "" {
 		p, err := fault.ParsePlan(*faultsFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "latency:", err)
-			os.Exit(1)
+		if err == nil {
+			err = p.ValidateTopo(cfg.tor.Nodes())
 		}
-		plan = &p
+		if err != nil {
+			return cfg, err
+		}
+		cfg.plan = &p
 	}
+	return cfg, nil
+}
 
-	tor, err := parseTorus(*torusFlag)
+func main() {
+	cfg, err := parseArgs(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "latency:", err)
 		os.Exit(1)
 	}
-	from, err := parseCoord(*fromFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "latency:", err)
-		os.Exit(1)
-	}
-	to, err := parseCoord(*toFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "latency:", err)
-		os.Exit(1)
-	}
+	tor, from, to, plan := cfg.tor, cfg.from, cfg.to, cfg.plan
 
 	hops := tor.HopsByDim(from, to)
 	fmt.Printf("torus %v, %v -> %v (%d hops: %d X, %d Y, %d Z)\n",
 		tor, from, to, hops[0]+hops[1]+hops[2], hops[0], hops[1], hops[2])
-	if *sweep {
+	if cfg.sweep {
 		fmt.Printf("%8s %12s\n", "bytes", "latency (ns)")
 		// Each payload size is measured on its own fresh machine, so the
 		// sweep points run concurrently and print in index order.
 		sizes := []int{0, 8, 16, 32, 64, 128, 192, 256}
 		lats := make([]sim.Dur, len(sizes))
-		if analytical {
+		if cfg.analytical {
 			for i, b := range sizes {
 				lats[i] = analyticLatency(tor, from, to, b)
 			}
 		} else {
-			par.ParFor(par.Workers(*workers), len(sizes), func(i int) {
+			par.ParFor(par.Workers(cfg.workers), len(sizes), func(i int) {
 				lats[i], _, _ = measure(tor, from, to, sizes[i], plan, false)
 			})
 		}
@@ -177,21 +204,21 @@ func main() {
 	var lat sim.Dur
 	var stats fault.Stats
 	var rec *metrics.Recorder
-	if analytical {
-		lat = analyticLatency(tor, from, to, *bytes)
+	if cfg.analytical {
+		lat = analyticLatency(tor, from, to, cfg.bytes)
 	} else {
-		lat, stats, rec = measure(tor, from, to, *bytes, plan, *traceOut != "")
+		lat, stats, rec = measure(tor, from, to, cfg.bytes, plan, cfg.traceOut != "")
 	}
-	fmt.Printf("one-way software-to-software latency (%dB payload): %.1f ns\n", *bytes, lat.Ns())
+	fmt.Printf("one-way software-to-software latency (%dB payload): %.1f ns\n", cfg.bytes, lat.Ns())
 	if plan != nil {
 		fmt.Printf("faults (plan %v): %v\n", plan, stats)
 	}
-	if *traceOut != "" {
+	if cfg.traceOut != "" {
 		data := rec.ChromeTrace()
-		if err := os.WriteFile(*traceOut, data, 0o644); err != nil {
+		if err := os.WriteFile(cfg.traceOut, data, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "latency:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s (%d bytes)\n", *traceOut, len(data))
+		fmt.Printf("wrote %s (%d bytes)\n", cfg.traceOut, len(data))
 	}
 }

@@ -8,12 +8,12 @@
 //
 //	loadgen [-addr http://host:8080] [-n 200] [-clients 8] [-seed 1]
 //	        [-retries 0] [-backoff 50ms] [-wait-ready 0]
-//	        [-extra-faults 0] [-fetch DIR] [-out BENCH_serve.json]
+//	        [-extra-faults 0] [-fetch DIR]
 //
 // With no -addr it spins an in-process server on a loopback listener —
-// the self-contained mode CI's smoke stage and the committed
-// BENCH_serve.json baseline use, so the measurement has no external
-// moving parts.
+// the self-contained mode CI's smoke stage uses, so the measurement has
+// no external moving parts. The benchmark gate (cmd/benchgate) runs the
+// same default mix the same way and records it in BENCH_gate.json.
 //
 // Against a live server the chaos-oriented flags apply: -wait-ready
 // polls /readyz before driving load (a restarting server restores its
@@ -26,7 +26,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http/httptest"
@@ -47,7 +46,6 @@ func main() {
 	waitReady := flag.Duration("wait-ready", 0, "poll /readyz this long before driving load (0: don't)")
 	extraFaults := flag.Int("extra-faults", 0, "append N uncached faulted DES variants to the mix")
 	fetch := flag.String("fetch", "", "fetch every mix digest's result into this directory and exit")
-	out := flag.String("out", "", "also write the run as a BENCH_serve.json payload")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "loadgen: unexpected arguments %q\n", flag.Args())
@@ -111,18 +109,6 @@ func main() {
 	fmt.Printf("  latency           p50 %.2f ms  p99 %.2f ms  mean %.2f ms\n", st.P50Ms, st.P99Ms, st.MeanMs)
 	fmt.Printf("  throughput        %.1f req/s over %.0f ms\n", st.RPS, st.WallMs)
 
-	if *out != "" {
-		f := serve.BenchFile{Schema: serve.BenchSchema, Seed: *seed, Result: st}
-		data, err := json.MarshalIndent(f, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*out, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
 	if st.Errors > 0 {
 		os.Exit(1)
 	}

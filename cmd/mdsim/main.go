@@ -154,9 +154,9 @@ func stepRow(step int, st mdmap.StepTiming) string {
 }
 
 func run(cfg config, steps, workers int, snap *checkpoint.State, ckptOut string, out io.Writer) error {
-	var tx, ty, tz int
-	if _, err := fmt.Sscanf(cfg.torus, "%dx%dx%d", &tx, &ty, &tz); err != nil {
-		return fmt.Errorf("bad torus %q", cfg.torus)
+	tor, err := topo.ParseTorus(cfg.torus)
+	if err != nil {
+		return err
 	}
 	var plan *fault.Plan
 	if cfg.faults != "" {
@@ -164,7 +164,7 @@ func run(cfg config, steps, workers int, snap *checkpoint.State, ckptOut string,
 		if err != nil {
 			return fmt.Errorf("-faults: %v", err)
 		}
-		if err := p.ValidateTopo(tx * ty * tz); err != nil {
+		if err := p.ValidateTopo(tor.Nodes()); err != nil {
 			return err
 		}
 		plan = &p
@@ -226,14 +226,14 @@ func run(cfg config, steps, workers int, snap *checkpoint.State, ckptOut string,
 	if plan != nil {
 		fault.Attach(s, *plan)
 	}
-	m := machine.New(s, topo.NewTorus(tx, ty, tz), noc.DefaultModel())
+	m := machine.New(s, tor, noc.DefaultModel())
 	mcfg := mdmap.DefaultConfig()
 	mcfg.Atoms = cfg.atoms
 	mcfg.Seed = cfg.seed
 	mcfg.ThermostatOn = cfg.thermostat
 	mcfg.MigrationInterval = cfg.migrate
 	mcfg.Workers = workers
-	if tx < 8 {
+	if tor.DimX < 8 {
 		mcfg.GridN = 16
 	}
 	mp := mdmap.New(s, m, mcfg)

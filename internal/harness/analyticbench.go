@@ -11,19 +11,20 @@ import (
 
 // The analytic benchmark workloads measure the closed-form fast-path
 // tier's query throughput against one equivalent event-driven run — the
-// ">=1000x faster per query" contract of the fastpath experiment. They
-// are shared by the benchgate command, which records them in
-// BENCH_analytic.json and gates the speedup floor.
+// ">=1000x faster per query" contract of the fastpath experiment. The
+// benchgate command records them as the analytic/<name> rows of
+// BENCH_gate.json and gates the speedup floor.
 //
-// Like the kernel gate workloads, the DES side builds its simulator
+// Like the kernel workloads, the DES side builds its simulator
 // directly from sim.New (bare kernel, no fault injector or recorder),
 // and every checksum is a pure function of the model — identical on
 // every host — so the gate pins it exactly: the committed artifact is a
 // machine-readable fingerprint of the calibrated fit.
 
-// AnalyticBenchmark is one workload of the analytic fast-path perf gate.
+// AnalyticBenchmark is one analytic fast-path workload of the benchmark
+// gate.
 type AnalyticBenchmark struct {
-	// Name keys the workload in BENCH_analytic.json.
+	// Name keys the workload's BENCH_gate.json row, analytic/<Name>.
 	Name string
 	// Title is the human-readable description.
 	Title string
@@ -38,8 +39,8 @@ type AnalyticBenchmark struct {
 	DES func() int64
 }
 
-// AnalyticBenchmarks returns the workloads of the analytic perf gate, in
-// the order they appear in BENCH_analytic.json.
+// AnalyticBenchmarks returns the analytic workloads of the benchmark
+// gate, in the order of their BENCH_gate.json rows.
 func AnalyticBenchmarks() []AnalyticBenchmark {
 	tor := topo.NewTorus(8, 8, 8)
 	origin := topo.C(0, 0, 0)

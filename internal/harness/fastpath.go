@@ -91,7 +91,7 @@ func desStepKinds(sess *Session, tor topo.Torus, cfg mdmap.Config, atoms, steps 
 // closed-form tier and (at des fidelity) cross-checked against the
 // event-driven simulator with a per-row error column. The report is
 // fully deterministic — no wall-clock numbers; the measured speedup
-// lives in the benchgate artifact (BENCH_analytic.json).
+// lives in the benchmark gate's baseline (BENCH_gate.json).
 func fastpath(sess *Session, quick bool) string {
 	out := header("Fast path: closed-form analytic tier vs event-driven simulator")
 	if sess.Faults != nil {

@@ -75,13 +75,17 @@ func (e Experiment) ArtifactsWith(s *Session, quick bool) Artifacts {
 // closed-form tier, and any fault plan (the closed forms model a
 // fault-free machine). At DES fidelity everything runs.
 func (e Experiment) Check(fidelity string, faulted bool) error {
-	if fidelity != FidelityAnalytic {
-		return nil
-	}
-	if !e.Analytic {
+	if fidelity == FidelityAnalytic && !e.Analytic {
 		return fmt.Errorf("experiment %q is event-driven only and has no analytic tier; run it at fidelity %q", e.ID, FidelityDES)
 	}
-	if faulted {
+	return CheckFaults(fidelity, faulted)
+}
+
+// CheckFaults refuses a fault plan at the analytic fidelity: the closed
+// forms model a fault-free machine. Every front end that takes both a
+// fidelity and a fault plan asks it, directly or through Check.
+func CheckFaults(fidelity string, faulted bool) error {
+	if fidelity == FidelityAnalytic && faulted {
 		return fmt.Errorf("the analytic tier models a fault-free machine and refuses fault plans; drop faults or use fidelity %q", FidelityDES)
 	}
 	return nil

@@ -10,20 +10,21 @@ import (
 )
 
 // The kernel benchmark workloads measure the event kernel itself: how
-// fast the simulator retires events (host wall time and events/sec) on
-// the two workloads the perf-trajectory gate tracks. They are shared by
-// the top-level go-test benchmarks (bench_kernel_test.go) and the
-// benchgate command, which compares a fresh run against the committed
-// BENCH_pdes.json baseline.
+// fast the simulator retires events (host wall time, allocations and
+// events/sec) on the two kernel workloads of the benchmark gate. They
+// are shared by the top-level go-test benchmarks (bench_kernel_test.go)
+// and the benchgate command, which compares a fresh run against the
+// kernel/<name> rows of the committed BENCH_gate.json baseline.
 //
 // Each workload builds its own simulator directly from sim.New (not
 // NewSim), so the gate measures the bare kernel — no fault injector or
 // metrics recorder — and the event count it returns is a pure function
 // of the model, identical on every host.
 
-// KernelBenchmark is one workload of the kernel perf gate.
+// KernelBenchmark is one kernel workload of the benchmark gate.
 type KernelBenchmark struct {
-	// Name keys the workload in BENCH_pdes.json ("fig6", "sweep").
+	// Name keys the workload's BENCH_gate.json row, kernel/<Name>
+	// ("fig6", "sweep").
 	Name string
 	// Title is the human-readable description.
 	Title string
@@ -76,8 +77,8 @@ func kernelBenchSweep() uint64 {
 	return s.Fired()
 }
 
-// KernelBenchmarks returns the workloads of the kernel perf gate, in the
-// order they appear in BENCH_pdes.json.
+// KernelBenchmarks returns the kernel workloads of the benchmark gate,
+// in the order of their BENCH_gate.json rows.
 func KernelBenchmarks() []KernelBenchmark {
 	return []KernelBenchmark{
 		{

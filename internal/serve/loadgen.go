@@ -25,8 +25,8 @@ import (
 // The order-independent checksum over those bodies is therefore a
 // machine-independent fingerprint of the whole serving path
 // (normalization, digesting, scheduling, caching, rendering), which is
-// what BENCH_serve.json pins exactly while the latency numbers are
-// gated only within a tolerance.
+// what the benchmark gate (cmd/benchgate, BENCH_gate.json) pins exactly
+// while the latency numbers are gated only within a tolerance.
 
 // DefaultMix is the standard load mix: cheap experiments at both
 // fidelities, a faulted variant, and spellings that differ only in
@@ -87,9 +87,9 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	return c
 }
 
-// LoadStats is one load run's outcome. The deterministic fields
-// (Requests, Errors, DistinctDigests, Checksum) are gated exactly by
-// benchgate; the wall-clock fields within a tolerance.
+// LoadStats is one load run's outcome. benchgate gates the deterministic
+// fields (the counts, cache misses and Checksum) exactly and the
+// latencies and throughput within a tolerance.
 type LoadStats struct {
 	Requests        int    `json:"requests"`
 	Clients         int    `json:"clients"`
@@ -350,80 +350,4 @@ func FetchResults(baseURL string, client *http.Client, digests []string, dir str
 		}
 	}
 	return nil
-}
-
-// BenchSchema versions the BENCH_serve.json layout.
-const BenchSchema = "anton-serve/v1"
-
-// BenchFile is the BENCH_serve.json payload: one committed load run.
-type BenchFile struct {
-	Schema string    `json:"schema"`
-	Seed   uint64    `json:"seed"`
-	Result LoadStats `json:"result"`
-}
-
-// CompareBench gates a fresh load run against the committed baseline:
-// the deterministic fields exactly (a checksum mismatch means some
-// response byte changed — a model change or a serving bug), the
-// latency/throughput fields within the relative tolerance. It prints
-// the verdict table and reports whether the gate passes.
-func CompareBench(base, fresh BenchFile, tolerance float64) bool {
-	b, f := base.Result, fresh.Result
-	ok := true
-	fail := func(format string, args ...interface{}) {
-		fmt.Printf("serve gate FAIL: "+format+"\n", args...)
-		ok = false
-	}
-	if base.Seed != fresh.Seed {
-		fail("seed %d, baseline pinned %d", fresh.Seed, base.Seed)
-	}
-	if f.Requests != b.Requests || f.Clients != b.Clients {
-		fail("ran %d requests / %d clients, baseline pinned %d / %d", f.Requests, f.Clients, b.Requests, b.Clients)
-	}
-	if f.Errors != 0 {
-		fail("%d request errors (baseline requires 0)", f.Errors)
-	}
-	if f.RetryAttempts != 0 {
-		fail("%d retry attempts against an in-process server (baseline requires 0)", f.RetryAttempts)
-	}
-	if f.DistinctDigests != b.DistinctDigests {
-		fail("mix spans %d distinct digests, baseline pinned %d", f.DistinctDigests, b.DistinctDigests)
-	}
-	if f.Checksum != b.Checksum {
-		fail("response checksum %s, baseline pinned %s (a response byte changed; model change? re-baseline with -update)",
-			f.Checksum, b.Checksum)
-	}
-	// The hit-vs-join split is a scheduling race, but single-flight
-	// means each distinct digest computes exactly once: misses are
-	// pinned to the digest count, everything else must have been served
-	// from the cache or a join.
-	if f.CacheMisses != f.DistinctDigests {
-		fail("%d cache misses for %d distinct digests (single-flight dedup broken?)", f.CacheMisses, f.DistinctDigests)
-	}
-	// slack is an absolute floor under which a latency difference is
-	// scheduler jitter, not a regression: a cache-hit p50 lives in the
-	// sub-millisecond range where relative tolerances are meaningless.
-	rel := func(name string, fresh, base, slack float64, higherIsBetter bool) {
-		if base == 0 {
-			return
-		}
-		delta := fresh/base - 1
-		verdict := "ok"
-		regressed := (higherIsBetter && delta < -tolerance) || (!higherIsBetter && delta > tolerance)
-		if regressed && !higherIsBetter && fresh-base <= slack {
-			verdict = fmt.Sprintf("ok (within %.1f ms absolute slack)", slack)
-			regressed = false
-		}
-		if regressed {
-			verdict = fmt.Sprintf("FAIL: beyond %.0f%% tolerance", 100*tolerance)
-			ok = false
-		}
-		fmt.Printf("%-12s %12.2f baseline %12.2f  %+7.1f%%  %s\n", name, fresh, base, 100*delta, verdict)
-	}
-	fmt.Printf("serve gate: %d requests, %d clients, %d distinct digests, checksum %s, hits/misses/joins %d/%d/%d\n",
-		f.Requests, f.Clients, f.DistinctDigests, f.Checksum, f.CacheHits, f.CacheMisses, f.CacheJoins)
-	rel("p50_ms", f.P50Ms, b.P50Ms, 5, false)
-	rel("p99_ms", f.P99Ms, b.P99Ms, 250, false)
-	rel("rps", f.RPS, b.RPS, 0, true)
-	return ok
 }

@@ -33,7 +33,7 @@ func runLoadOnce(t *testing.T, cfg LoadConfig) LoadStats {
 // TestLoadChecksumDeterministic: the same (seed, requests) config
 // produces the same order-independent response checksum against two
 // independent servers at different client counts — the property that
-// lets BENCH_serve.json pin the checksum exactly.
+// lets BENCH_gate.json pin the checksum exactly.
 func TestLoadChecksumDeterministic(t *testing.T) {
 	a := runLoadOnce(t, LoadConfig{Requests: 24, Clients: 4, Seed: 7, Mix: testMix()})
 	b := runLoadOnce(t, LoadConfig{Requests: 24, Clients: 2, Seed: 7, Mix: testMix()})

@@ -318,29 +318,36 @@ func (s *Scheduler) work(q chan *Job) {
 }
 
 func (s *Scheduler) runOne(j *Job) {
+	defer j.release()
 	depth, backlog := &s.queuedDES, &s.backlogDES
 	if j.Req.Fidelity == harness.FidelityAnalytic {
 		depth, backlog = &s.queuedAnalytic, &s.backlogAnalytic
 	}
-	defer func() {
+	// leave takes the job off its queue's depth and backlog. Every path
+	// calls it before the entry's waiters are released (Complete, Fail or
+	// Abort), so a requester that reads /stats after its answer never
+	// sees its own job as queued.
+	leave := func() {
 		depth.Add(-1)
 		backlog.Add(-j.chargedNs)
-		j.release()
-	}()
+	}
 	// Claim: a cancelled queued job lost the CAS race and was withdrawn
 	// (its entry already aborted) — skip it.
 	if !j.state.CompareAndSwap(StateQueued, StateRunning) {
+		leave()
 		return
 	}
 	// Queue shedding at the worker: a job whose deadline expired (or
 	// whose server began draining past its budget) while it waited never
 	// starts computing — the waiter is already gone.
 	if j.ctxErr() != nil {
+		leave()
 		j.finishAborted()
 		return
 	}
 	start := time.Now()
 	res, err := s.runGuarded(j)
+	leave()
 	if j.ctxErr() != nil || j.cancelled.Load() {
 		// Cancelled or timed out mid-run. The simulators stopped at an
 		// event-batch boundary and the sweeps skipped their remaining

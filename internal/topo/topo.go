@@ -4,7 +4,11 @@
 // the shortest path in each dimension, matching the paper's description.
 package topo
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Dim identifies one torus dimension.
 type Dim int
@@ -106,6 +110,23 @@ func NewTorus(x, y, z int) Torus {
 		panic(fmt.Sprintf("topo: invalid torus dimensions %dx%dx%d", x, y, z))
 	}
 	return Torus{x, y, z}
+}
+
+// ParseTorus parses a torus size written XxYxZ, such as "8x8x8". Every
+// dimension must be a positive integer.
+func ParseTorus(s string) (Torus, error) {
+	var d [NumDims]int
+	parts := strings.Split(s, "x")
+	ok := len(parts) == len(d)
+	for i := 0; ok && i < len(d); i++ {
+		var err error
+		d[i], err = strconv.Atoi(parts[i])
+		ok = err == nil && d[i] > 0
+	}
+	if !ok {
+		return Torus{}, fmt.Errorf("bad torus %q (want XxYxZ with positive sizes)", s)
+	}
+	return NewTorus(d[0], d[1], d[2]), nil
 }
 
 // Nodes returns the total node count.

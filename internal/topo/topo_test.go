@@ -309,3 +309,14 @@ func TestIDCoordBijectionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestParseTorus(t *testing.T) {
+	if tor, err := ParseTorus("8x4x2"); err != nil || tor != NewTorus(8, 4, 2) {
+		t.Fatalf("ParseTorus(8x4x2) = %v, %v", tor, err)
+	}
+	for _, s := range []string{"", "8", "8x8", "8x8x8x8", "0x4x4", "4x-1x4", "4x4x0", "axbxc", "4x4x", "4 x4x4"} {
+		if tor, err := ParseTorus(s); err == nil {
+			t.Errorf("ParseTorus(%q) = %v, want an error", s, tor)
+		}
+	}
+}

@@ -80,18 +80,6 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// Busy returns the total (possibly overlapping) recorded time on unit u,
-// optionally excluding stalls.
-func (t *Tracer) Busy(u Unit, includeStalls bool) sim.Dur {
-	var total sim.Dur
-	for _, s := range t.spans {
-		if s.Unit == u && (includeStalls || !s.Stall) {
-			total += s.End.Sub(s.Start)
-		}
-	}
-	return total
-}
-
 // Occupancy returns the fraction of [from, to] during which unit u has at
 // least one span active (union of intervals, so overlapping spans are not
 // double counted).
@@ -99,50 +87,38 @@ func (t *Tracer) Occupancy(u Unit, from, to sim.Time) float64 {
 	if to <= from {
 		return 0
 	}
-	type edge struct {
-		at    sim.Time
-		delta int
-	}
-	var edges []edge
-	for _, s := range t.spans {
-		if s.Unit != u || s.End <= from || s.Start >= to {
-			continue
-		}
-		st, en := s.Start, s.End
-		if st < from {
-			st = from
-		}
-		if en > to {
-			en = to
-		}
-		edges = append(edges, edge{st, +1}, edge{en, -1})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].at != edges[j].at {
-			return edges[i].at < edges[j].at
-		}
-		return edges[i].delta > edges[j].delta
-	})
-	var covered sim.Dur
-	depth := 0
-	var openAt sim.Time
-	for _, e := range edges {
-		if depth == 0 && e.delta > 0 {
-			openAt = e.at
-		}
-		depth += e.delta
-		if depth == 0 && e.delta < 0 {
-			covered += e.at.Sub(openAt)
+	var c cover
+	for _, s := range t.Spans() {
+		if s.Unit == u {
+			c.add(s)
 		}
 	}
-	return float64(covered) / float64(to.Sub(from))
+	return float64(c.within(from, to)) / float64(to.Sub(from))
 }
 
 // Timeline renders the Figure 13-style textual timeline: rows are time
 // buckets of the given width, columns are unit classes. Each cell shows
 // '#' when the unit is mostly busy with useful work, '+' when partially
 // busy, '.' when mostly stalled, and ' ' when idle.
+//
+// The spans are sorted once and folded into each unit's busy union
+// (useful work only) and all-span union; every cell then measures those
+// unions over its bucket.
 func (t *Tracer) Timeline(from, to sim.Time, bucket sim.Dur) string {
+	var busy, all [NumUnits]cover
+	var instants [NumUnits][]sim.Time
+	for _, s := range t.Spans() {
+		if s.Unit < 0 || s.Unit >= NumUnits {
+			continue
+		}
+		if s.Start == s.End {
+			instants[s.Unit] = append(instants[s.Unit], s.Start)
+		}
+		all[s.Unit].add(s)
+		if !s.Stall {
+			busy[s.Unit].add(s)
+		}
+	}
 	var b strings.Builder
 	b.WriteString("      time |")
 	for u := Unit(0); u < NumUnits; u++ {
@@ -154,10 +130,11 @@ func (t *Tracer) Timeline(from, to sim.Time, bucket sim.Dur) string {
 		if end > to {
 			end = to
 		}
+		width := float64(end.Sub(start))
 		fmt.Fprintf(&b, "%8.2fus |", start.Us())
 		for u := Unit(0); u < NumUnits; u++ {
-			busyFrac := t.occupancyFiltered(u, start, end, false)
-			allFrac := t.Occupancy(u, start, end)
+			busyFrac := float64(busy[u].within(start, end)) / width
+			allFrac := float64(all[u].within(start, end)) / width
 			cell := ' '
 			switch {
 			case busyFrac >= 0.5:
@@ -166,7 +143,7 @@ func (t *Tracer) Timeline(from, to sim.Time, bucket sim.Dur) string {
 				cell = '+'
 			case allFrac > 0.05:
 				cell = '.'
-			case t.hasInstant(u, start, end):
+			case hasInstant(instants[u], start, end):
 				// A zero-width span covers no time but still happened
 				// here: render it as a single tick rather than idle.
 				cell = '|'
@@ -178,25 +155,32 @@ func (t *Tracer) Timeline(from, to sim.Time, bucket sim.Dur) string {
 	return b.String()
 }
 
-// hasInstant reports whether unit u has a zero-width span in [from, to).
-func (t *Tracer) hasInstant(u Unit, from, to sim.Time) bool {
-	for _, s := range t.spans {
-		if s.Unit == u && s.Start == s.End && s.Start >= from && s.Start < to {
-			return true
-		}
+// cover is a union of spans: disjoint intervals in time order. Spans
+// must be added in order of their start.
+type cover []Span
+
+func (c *cover) add(s Span) {
+	if n := len(*c); n > 0 && s.Start <= (*c)[n-1].End {
+		(*c)[n-1].End = max((*c)[n-1].End, s.End)
+		return
 	}
-	return false
+	*c = append(*c, Span{Start: s.Start, End: s.End})
 }
 
-// occupancyFiltered is Occupancy restricted to stall or non-stall spans.
-func (t *Tracer) occupancyFiltered(u Unit, from, to sim.Time, stalls bool) float64 {
-	sub := New()
-	for _, s := range t.spans {
-		if s.Unit == u && s.Stall == stalls {
-			sub.spans = append(sub.spans, s)
-		}
+// within returns how much of [from, to] the union covers.
+func (c cover) within(from, to sim.Time) sim.Dur {
+	var covered sim.Dur
+	i := sort.Search(len(c), func(i int) bool { return c[i].End > from })
+	for ; i < len(c) && c[i].Start < to; i++ {
+		covered += min(c[i].End, to).Sub(max(c[i].Start, from))
 	}
-	return sub.Occupancy(u, from, to)
+	return covered
+}
+
+// hasInstant reports whether any of the sorted times lies in [from, to).
+func hasInstant(times []sim.Time, from, to sim.Time) bool {
+	i := sort.Search(len(times), func(i int) bool { return times[i] >= from })
+	return i < len(times) && times[i] < to
 }
 
 // Phases summarizes the labelled activity: for each distinct label, the

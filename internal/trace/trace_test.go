@@ -1,28 +1,13 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"anton/internal/sim"
 	"testing/quick"
 )
-
-func TestBusyAccounting(t *testing.T) {
-	tr := New()
-	tr.Add(TS, 0, sim.Time(100*sim.Ns), "compute", false)
-	tr.Add(TS, sim.Time(100*sim.Ns), sim.Time(150*sim.Ns), "wait", true)
-	tr.Add(GC, 0, sim.Time(80*sim.Ns), "compute", false)
-	if got := tr.Busy(TS, true); got != 150*sim.Ns {
-		t.Fatalf("TS busy with stalls = %v", got)
-	}
-	if got := tr.Busy(TS, false); got != 100*sim.Ns {
-		t.Fatalf("TS busy without stalls = %v", got)
-	}
-	if got := tr.Busy(HTI, true); got != 0 {
-		t.Fatalf("HTIS busy = %v, want 0", got)
-	}
-}
 
 func TestDegenerateSpans(t *testing.T) {
 	tr := New()
@@ -35,7 +20,7 @@ func TestDegenerateSpans(t *testing.T) {
 	if spans[0].Label != "instant" || spans[0].Start != spans[0].End {
 		t.Fatalf("retained span is not the zero-width one: %v", spans[0])
 	}
-	if got := tr.Busy(TS, true); got != 0 {
+	if got := tr.Occupancy(TS, 0, 100); got != 0 {
 		t.Fatalf("zero-width span contributed busy time: %v", got)
 	}
 }
@@ -176,6 +161,73 @@ func TestOccupancyBoundedProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: every Timeline cell equals a cell computed picosecond by
+// picosecond — the covered time of a bucket is the number of 1 ps steps
+// some span (some non-stall span, for the busy fraction) covers, and a
+// tick marks a zero-width span inside the bucket.
+func TestTimelineMatchesPerPicosecond(t *testing.T) {
+	f := func(spans []struct{ S, D, U uint8 }, from, width uint8) bool {
+		tr := New()
+		for _, sp := range spans {
+			start := sim.Time(sp.S)
+			tr.Add(Unit(int(sp.U)%(int(NumUnits)+1)), start, start.Add(sim.Dur(sp.D%40)), "", sp.D%3 == 0)
+		}
+		all := tr.Spans()
+		lo, hi := sim.Time(from), sim.Time(from)+sim.Time(width)+1
+		bucket := sim.Dur(width%17) + 1
+		var b strings.Builder
+		b.WriteString("      time |")
+		for u := Unit(0); u < NumUnits; u++ {
+			fmt.Fprintf(&b, "%4s|", u)
+		}
+		b.WriteByte('\n')
+		for start := lo; start < hi; start = start.Add(bucket) {
+			end := min(start.Add(bucket), hi)
+			fmt.Fprintf(&b, "%8.2fus |", start.Us())
+			for u := Unit(0); u < NumUnits; u++ {
+				var busy, covered int
+				tick := false
+				for ps := start; ps < end; ps++ {
+					var inBusy, inAll bool
+					for _, s := range all {
+						if s.Unit == u && s.Start <= ps && ps < s.End {
+							inAll = true
+							inBusy = inBusy || !s.Stall
+						}
+					}
+					if inAll {
+						covered++
+					}
+					if inBusy {
+						busy++
+					}
+				}
+				for _, s := range all {
+					tick = tick || (s.Unit == u && s.Start == s.End && s.Start >= start && s.Start < end)
+				}
+				w := float64(end.Sub(start))
+				cell := ' '
+				switch {
+				case float64(busy)/w >= 0.5:
+					cell = '#'
+				case float64(busy)/w > 0.05:
+					cell = '+'
+				case float64(covered)/w > 0.05:
+					cell = '.'
+				case tick:
+					cell = '|'
+				}
+				fmt.Fprintf(&b, " %c%c |", cell, cell)
+			}
+			b.WriteByte('\n')
+		}
+		return tr.Timeline(lo, hi, bucket) == b.String()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
