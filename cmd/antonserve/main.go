@@ -40,6 +40,10 @@
 // lands — so a restarted server resumes with every previously computed
 // experiment already answered.
 //
+// Every connection is bounded: a client has 10 s to send its request
+// headers, and a keep-alive connection closes after 2 min idle. Responses
+// have no write deadline, because a cold DES run can take seconds.
+//
 // SIGTERM (or SIGINT) drains gracefully: readiness flips to 503,
 // admission stops, in-flight and queued jobs get the -drain budget to
 // finish — past it their contexts are cancelled and the cooperative
@@ -59,6 +63,24 @@ import (
 
 	"anton/internal/serve"
 )
+
+// The connection bounds of the server main builds (newHTTPServer).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the HTTP server antonserve listens with. It sets
+// no WriteTimeout: a response waits for its run, and a cold DES run can
+// take seconds.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -96,7 +118,7 @@ func main() {
 	restored := make(chan error, 1)
 	go func() { restored <- srv.Restore() }()
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

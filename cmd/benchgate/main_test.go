@@ -77,18 +77,18 @@ func TestVerdicts(t *testing.T) {
 		{"serve cache misses +1", set(mix, "cache_misses", 7), false},
 		{"serve checksum changed", set(mix, "checksum", "7c83ba4a4144a88b"), false},
 
-		// 1,663,426 ns x 1.15 = 1,912,939.9 ns.
-		{"fig6 wall inside 15%", set(fig6, "wall_ns_per_op", 1912939), true},
-		{"fig6 wall outside 15%", set(fig6, "wall_ns_per_op", 1912940), false},
-		// 3,161,647,621 ns x 1.15 = 3,635,894,764.15 ns.
-		{"sweep wall inside 15%", set(sweep, "wall_ns_per_op", 3635894764), true},
-		{"sweep wall outside 15%", set(sweep, "wall_ns_per_op", 3635894765), false},
-		// 17,721 x 1.10 = 19,493.1 and 457,678 x 1.10 = 503,445.8.
-		{"fig6 allocs inside 10%", set(fig6, "allocs_per_op", 19493), true},
-		{"fig6 allocs outside 10%", set(fig6, "allocs_per_op", 19494), false},
-		{"sweep allocs inside 10%", set(sweep, "allocs_per_op", 503445), true},
-		{"sweep allocs outside 10%", set(sweep, "allocs_per_op", 503446), false},
-		{"sweep allocs doubled", set(sweep, "allocs_per_op", 2*457678), false},
+		// 453,772 ns x 1.15 = 521,837.8 ns.
+		{"fig6 wall inside 15%", set(fig6, "wall_ns_per_op", 521837), true},
+		{"fig6 wall outside 15%", set(fig6, "wall_ns_per_op", 521838), false},
+		// 1,269,494,188 ns x 1.15 = 1,459,918,316.2 ns.
+		{"sweep wall inside 15%", set(sweep, "wall_ns_per_op", 1459918316), true},
+		{"sweep wall outside 15%", set(sweep, "wall_ns_per_op", 1459918317), false},
+		// 827 x 1.10 = 909.7 and 456,038 x 1.10 = 501,641.8.
+		{"fig6 allocs inside 10%", set(fig6, "allocs_per_op", 909), true},
+		{"fig6 allocs outside 10%", set(fig6, "allocs_per_op", 910), false},
+		{"sweep allocs inside 10%", set(sweep, "allocs_per_op", 501641), true},
+		{"sweep allocs outside 10%", set(sweep, "allocs_per_op", 501642), false},
+		{"sweep allocs doubled", set(sweep, "allocs_per_op", 2*456038), false},
 
 		// p50: 0.334371 ms x 1.5 = 0.5015565 ms, and 0.334371 + 5 ms of
 		// slack = 5.334371 ms; the larger bound governs.
@@ -96,15 +96,15 @@ func TestVerdicts(t *testing.T) {
 		{"p50 outside 50%, inside slack", set(mix, "p50_ms", 0.5015575), true},
 		{"p50 inside slack", set(mix, "p50_ms", 5.33437), true},
 		{"p50 outside slack", set(mix, "p50_ms", 5.334372), false},
-		// p99: 2,361.244919 ms x 1.5 = 3,541.8673785 ms, beyond the
-		// 250 ms slack (2,611.244919 ms).
-		{"p99 inside slack", set(mix, "p99_ms", 2611.244918), true},
-		{"p99 outside slack, inside 50%", set(mix, "p99_ms", 2611.24492), true},
-		{"p99 inside 50%", set(mix, "p99_ms", 3541.8673775), true},
-		{"p99 outside 50%", set(mix, "p99_ms", 3541.8673795), false},
-		// rps, no slack: 79.8069832675374 x 0.5 = 39.9034916337687.
-		{"rps inside 50%", set(mix, "rps", 39.9034926), true},
-		{"rps outside 50%", set(mix, "rps", 39.9034906), false},
+		// p99: 1,304.651374 ms x 1.5 = 1,956.977061 ms, beyond the
+		// 250 ms slack (1,554.651374 ms).
+		{"p99 inside slack", set(mix, "p99_ms", 1554.651373), true},
+		{"p99 outside slack, inside 50%", set(mix, "p99_ms", 1554.651375), true},
+		{"p99 inside 50%", set(mix, "p99_ms", 1956.97706), true},
+		{"p99 outside 50%", set(mix, "p99_ms", 1956.977062), false},
+		// rps, no slack: 150.04098384477817 x 0.5 = 75.0204919223891.
+		{"rps inside 50%", set(mix, "rps", 75.0204929), true},
+		{"rps outside 50%", set(mix, "rps", 75.0204909), false},
 
 		{"p2p speedup 1000x", set(p2p, "speedup", 1000.0), true},
 		{"p2p speedup 999x", set(p2p, "speedup", 999.0), false},
@@ -157,7 +157,7 @@ func TestEnvironmentOverrides(t *testing.T) {
 			}
 		}
 	}
-	fresh := set("kernel/fig6", "wall_ns_per_op", 2495138)(clone(base)) // +49.99994%
+	fresh := set("kernel/fig6", "wall_ns_per_op", 680657)(clone(base)) // +49.9998%
 	if !compare(io.Discard, base, fresh) {
 		t.Error("BENCH_TOLERANCE=0.50 did not admit a 49.99% slower fig6")
 	}

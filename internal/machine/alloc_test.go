@@ -4,6 +4,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"anton/internal/noc"
 	"anton/internal/packet"
 	"anton/internal/sim"
 	"anton/internal/topo"
@@ -19,6 +20,28 @@ var raceEnabled bool
 func TestBranchRecordFitsCacheLine(t *testing.T) {
 	if size := unsafe.Sizeof(branch{}); size > 64 {
 		t.Errorf("branch record is %d bytes, want at most 64", size)
+	}
+}
+
+// Building a machine allocates a fixed handful of objects, whatever its
+// node count: the nodes, with their links and multicast tables, are one
+// block, and no client exists until something addresses it.
+func TestBuildAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := sim.New()
+	model := noc.DefaultModel()
+	for _, tc := range []struct {
+		name  string
+		build func()
+	}{
+		{"Default512", func() { Default512(s) }},
+		{"4x4x4", func() { New(s, topo.NewTorus(4, 4, 4), model) }},
+	} {
+		if got := testing.AllocsPerRun(10, tc.build); got > 16 {
+			t.Errorf("%s build: %v allocations, want at most 16", tc.name, got)
+		}
 	}
 }
 

@@ -17,21 +17,19 @@ type Client struct {
 	m        *Machine
 	mem      []float64
 	counters []*sim.Counter // indexed by counter id, up to the highest used
-	send     *sim.Resource
-	recv     *sim.Resource
-	fifo     *FIFO
+	send     sim.Resource
+	recv     sim.Resource
+	fifo     FIFO // used by processing slices only
 }
 
-func newClient(m *Machine, addr packet.Client) *Client {
-	c := &Client{
-		Addr: addr,
-		m:    m,
-		send: sim.NewResource(m.Sim),
-		recv: sim.NewResource(m.Sim),
-	}
-	if addr.Kind.IsSlice() {
-		c.fifo = &FIFO{m: m}
-	}
+// newClient builds n's client of kind k, its ports and FIFO in one
+// allocation, and installs it. Only Node.client calls it.
+func (n *Node) newClient(k packet.ClientKind) *Client {
+	m := n.m
+	c := &Client{Addr: packet.Client{Node: n.ID, Kind: k}, m: m, fifo: FIFO{m: m}}
+	c.send.Init(m.Sim)
+	c.recv.Init(m.Sim)
+	n.clients[k] = c
 	return c
 }
 
@@ -150,10 +148,10 @@ func (c *Client) MemWords() int { return len(c.mem) }
 
 // FIFO returns the client's message FIFO (slices only).
 func (c *Client) FIFO() *FIFO {
-	if c.fifo == nil {
+	if !c.Addr.Kind.IsSlice() {
 		panic(fmt.Sprintf("machine: %v has no message FIFO", c.Addr))
 	}
-	return c.fifo
+	return &c.fifo
 }
 
 // ensure extends the memory to at least n words. Growth is append's, so

@@ -30,7 +30,9 @@ type Machine struct {
 	Torus topo.Torus
 	Model noc.Model
 
-	nodes []*Node
+	// nodes holds every node, with its links and multicast table, in one
+	// block (DESIGN §9.5).
+	nodes []Node
 
 	// ordIssue and ordDst implement the software-controlled header flag
 	// that selectively guarantees in-order delivery between fixed
@@ -160,15 +162,19 @@ type Node struct {
 	ID    topo.NodeID
 	Coord topo.Coord
 
-	m       *Machine
-	links   [6]*sim.Resource
-	nbr     [6]*Node // the neighbour through each port, indexed like links
-	mc      *packet.McTable
+	m     *Machine
+	links [6]sim.Resource
+	nbr   [6]*Node // the neighbour through each port, indexed like links
+	mc    packet.McTable
+	// clients holds the clients built so far; Node.client builds the
+	// rest the first time something addresses them.
 	clients [packet.NumClients]*Client
 }
 
 // New constructs a machine with the given torus dimensions and timing
-// model.
+// model. Its allocations do not grow with the node count: the nodes,
+// their links and their multicast tables are one block, and a client is
+// built only when something first addresses it (DESIGN §9.5).
 func New(s *sim.Sim, t topo.Torus, model noc.Model) *Machine {
 	m := &Machine{
 		Sim:      s,
@@ -180,31 +186,43 @@ func New(s *sim.Sim, t topo.Torus, model noc.Model) *Machine {
 		ordDst:   make(map[pairKey]*ordDst),
 	}
 	m.stats.perNode = make([]nodeStats, t.Nodes())
-	m.nodes = make([]*Node, t.Nodes())
+	m.nodes = make([]Node, t.Nodes())
 	for id := range m.nodes {
-		n := &Node{
-			ID:    topo.NodeID(id),
-			Coord: t.Coord(topo.NodeID(id)),
-			m:     m,
-			mc:    packet.NewMcTable(),
-		}
-		for p := range n.links {
-			n.links[p] = sim.NewResource(s)
-		}
-		for k := packet.ClientKind(0); k < packet.NumClients; k++ {
-			n.clients[k] = newClient(m, packet.Client{Node: n.ID, Kind: k})
-		}
-		m.nodes[id] = n
-	}
-	for _, n := range m.nodes {
+		n := &m.nodes[id]
+		n.ID, n.Coord, n.m = topo.NodeID(id), t.Coord(topo.NodeID(id)), m
 		for p, port := range topo.Ports {
-			n.nbr[p] = m.nodes[t.ID(t.Neighbor(n.Coord, port))]
+			n.links[p].Init(s)
+			n.nbr[p] = &m.nodes[neighbor(t, n.Coord, port)]
 		}
 	}
 	if m.faults.HardFaults() {
 		m.setupHardFaults()
 	}
 	return m
+}
+
+// neighbor returns the ID of the node next to c through port p. The step
+// is ±1, so it wraps with one comparison, where Torus.Neighbor and
+// Torus.ID wrap every coordinate with a division.
+func neighbor(t topo.Torus, c topo.Coord, p topo.Port) topo.NodeID {
+	v, size := c.Get(p.Dim)+int(p.Dir), t.Size(p.Dim)
+	if v < 0 {
+		v += size
+	} else if v == size {
+		v = 0
+	}
+	c = c.Set(p.Dim, v)
+	return topo.NodeID((c.X*t.DimY+c.Y)*t.DimZ + c.Z)
+}
+
+// client returns n's client of kind k, building it the first time
+// anything addresses it. Every reader of Node.clients goes through here.
+func (n *Node) client(k packet.ClientKind) *Client {
+	c := n.clients[k]
+	if c == nil {
+		c = n.newClient(k)
+	}
+	return c
 }
 
 // Default512 constructs an 8x8x8 (512-node) machine with the paper's
@@ -215,14 +233,15 @@ func Default512(s *sim.Sim) *Machine {
 }
 
 // Node returns the node with the given ID.
-func (m *Machine) Node(id topo.NodeID) *Node { return m.nodes[id] }
+func (m *Machine) Node(id topo.NodeID) *Node { return &m.nodes[id] }
 
 // NodeAt returns the node at coordinate c (wrapped).
-func (m *Machine) NodeAt(c topo.Coord) *Node { return m.nodes[m.Torus.ID(c)] }
+func (m *Machine) NodeAt(c topo.Coord) *Node { return &m.nodes[m.Torus.ID(c)] }
 
-// Client returns the client state addressed by c.
+// Client returns the client state addressed by c, building it if nothing
+// has addressed it before.
 func (m *Machine) Client(c packet.Client) *Client {
-	return m.nodes[c.Node].clients[c.Kind]
+	return m.nodes[c.Node].client(c.Kind)
 }
 
 // Stats returns a snapshot of the machine's traffic statistics. Counts
@@ -296,7 +315,7 @@ func (m *Machine) send(src *Client, pkt *packet.Packet) {
 	// inject a packet.
 	lat += m.faults.NodeSlowExtra(int(src.Addr.Node), lat)
 	b := m.newBranch(pkt)
-	b.st, b.node, b.dur = stInject, m.nodes[src.Addr.Node], lat
+	b.st, b.node, b.dur = stInject, &m.nodes[src.Addr.Node], lat
 	src.send.Acquire(gap, b)
 }
 
@@ -328,7 +347,7 @@ func (m *Machine) inject(b *branch) {
 		m.fanOut(b, node, inject, true)
 	case pkt.Dst.Node == node.ID:
 		// Node-local delivery travels the on-chip ring only.
-		m.deliverLocal(b, node.clients[pkt.Dst.Kind], inject.Add(m.Model.LocalRing))
+		m.deliverLocal(b, node.client(pkt.Dst.Kind), inject.Add(m.Model.LocalRing))
 	case m.hard:
 		m.release(b)
 		m.forwardHard(pkt, node, inject, true)
@@ -360,7 +379,7 @@ func (m *Machine) depart(b *branch) {
 			return
 		}
 	}
-	link := node.links[b.port]
+	link := &node.links[b.port]
 	service := m.Model.LinkService(pkt.WireBytes())
 	// Fault layer: CRC-detected flit corruption repaired by link-level
 	// retransmission, transient stalls, and scheduled outages all extend
@@ -409,7 +428,7 @@ func (m *Machine) cross(b *branch) {
 		m.fanOut(b, next, arrival, false)
 	case next.ID == pkt.Dst.Node:
 		avail := arrival.Add(m.Model.ExtraSerialization(pkt.WireBytes()) + m.Model.DstRing)
-		m.deliverLocal(b, next.clients[pkt.Dst.Kind], avail)
+		m.deliverLocal(b, next.client(pkt.Dst.Kind), avail)
 	default:
 		port, _ := m.Torus.RoutePort(next.Coord, m.nodes[pkt.Dst.Node].Coord)
 		m.hop(b, next, port, arrival.Add(m.Model.Through[port.Dim]))
@@ -444,7 +463,7 @@ func (m *Machine) fanOut(b *branch, node *Node, base sim.Time, atSource bool) {
 		}
 		// Every local delivery shares pkt; counters, stats and hooks
 		// see the destination as the client it commits to.
-		m.deliverLocal(m.newBranch(pkt), node.clients[kind], avail)
+		m.deliverLocal(m.newBranch(pkt), node.client(kind), avail)
 	}
 	for _, port := range entry.Out {
 		var head sim.Time
@@ -519,7 +538,7 @@ func (m *Machine) resolveMulticast(n topo.NodeID, id packet.MulticastID) []packe
 			out = append(out, packet.Client{Node: cur, Kind: kind})
 		}
 		for _, port := range entry.Out {
-			queue = append(queue, m.Torus.ID(m.Torus.Neighbor(m.nodes[cur].Coord, port)))
+			queue = append(queue, m.nodes[cur].nbr[topo.PortIndex(port)].ID)
 		}
 	}
 	return out

@@ -647,3 +647,81 @@ func TestInOrderIndependentPairsDoNotBlock(t *testing.T) {
 		t.Fatalf("independent pair delayed: small %v, big %v", cAt, bAt)
 	}
 }
+
+// builtClients lists the clients m has built, in node and kind order.
+func builtClients(m *Machine) []packet.Client {
+	var out []packet.Client
+	for i := range m.nodes {
+		for _, c := range m.nodes[i].clients {
+			if c != nil {
+				out = append(out, c.Addr)
+			}
+		}
+	}
+	return out
+}
+
+// A Figure 6 write builds the two clients it addresses and no others:
+// the sender when the program first names it, the receiver when the
+// packet reaches it.
+func TestClientsBuiltOnFirstUse(t *testing.T) {
+	s := sim.New()
+	m := Default512(s)
+	if got := builtClients(m); len(got) != 0 {
+		t.Fatalf("a new machine has built %v", got)
+	}
+	src, dst := slice0(m.NodeAt(topo.C(0, 0, 0)).ID), slice0(m.NodeAt(topo.C(1, 0, 0)).ID)
+	m.Client(src).Write(dst, 0, 0, 0)
+	s.Run()
+	got := builtClients(m)
+	if len(got) != 2 || got[0] != src || got[1] != dst {
+		t.Fatalf("built clients after one write = %v, want [%v %v]", got, src, dst)
+	}
+	if v := m.Client(dst).Counter(0).Value(); v != 1 {
+		t.Fatalf("receiver counter = %d, want 1", v)
+	}
+}
+
+// A client first reached by a multicast delivery is the one every later
+// reader gets: the write is in its memory and its counter holds it.
+func TestMulticastBuildsItsDestination(t *testing.T) {
+	s := sim.New()
+	m := Default512(s)
+	a, b := m.NodeAt(topo.C(0, 0, 0)).ID, m.NodeAt(topo.C(1, 0, 0)).ID
+	const id, ctr = 1, 3
+	m.SetMulticast(a, id, packet.McEntry{Out: []topo.Port{{Dim: topo.X, Dir: +1}}})
+	m.SetMulticast(b, id, packet.McEntry{Local: []packet.ClientKind{packet.HTIS}})
+	m.Client(slice0(a)).MulticastWrite(id, ctr, 5, 16, 1.5, 2.5)
+	s.Run()
+	built := m.nodes[b].clients[packet.HTIS]
+	if built == nil {
+		t.Fatal("the multicast delivery did not build its destination")
+	}
+	dst := packet.Client{Node: b, Kind: packet.HTIS}
+	if c := m.Client(dst); c != built {
+		t.Fatal("Machine.Client returned a different client than the one the delivery built")
+	}
+	if got := built.Mem(5, 2); got[0] != 1.5 || got[1] != 2.5 {
+		t.Fatalf("memory = %v, want [1.5 2.5]", got)
+	}
+	if v := built.Counter(ctr).Value(); v != 1 {
+		t.Fatalf("counter = %d, want 1", v)
+	}
+}
+
+// Each node's neighbour through each port is the node Torus.Neighbor
+// names, on tori with extents of one, two and more.
+func TestNeighborWiring(t *testing.T) {
+	for _, dims := range [][3]int{{1, 1, 1}, {1, 2, 3}, {2, 2, 2}, {3, 4, 5}, {8, 8, 8}} {
+		tor := topo.NewTorus(dims[0], dims[1], dims[2])
+		m := New(sim.New(), tor, noc.DefaultModel())
+		for id := range m.nodes {
+			n := &m.nodes[id]
+			for p, port := range topo.Ports {
+				if got, want := n.nbr[p].ID, tor.ID(tor.Neighbor(n.Coord, port)); got != want {
+					t.Fatalf("%v: node %v port %v: neighbour %d, want %d", tor, n.Coord, port, got, want)
+				}
+			}
+		}
+	}
+}

@@ -301,7 +301,7 @@ func (m *Machine) mcReroute(pkt *packet.Packet, node *Node, subtree topo.NodeID,
 		}
 		m.rec.Rerouted++
 		if dst.Node == node.ID {
-			m.deliverLocal(m.newBranch(cp), node.clients[dst.Kind], at.Add(m.Model.LocalRing))
+			m.deliverLocal(m.newBranch(cp), node.client(dst.Kind), at.Add(m.Model.LocalRing))
 			continue
 		}
 		m.forwardHard(cp, node, at, false)
@@ -335,7 +335,7 @@ func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, a
 		} else {
 			head = ringAt.Add(model.Through[port.Dim])
 		}
-		link := node.links[topo.PortIndex(port)]
+		link := &node.links[topo.PortIndex(port)]
 		m.Sim.At(head, sim.Func(func() {
 			service := model.LinkService(pkt.WireBytes())
 			extra := m.faults.LinkExtra(int(node.ID), port, service, m.nextStart(link))
@@ -343,7 +343,7 @@ func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, a
 			link.Acquire(service+extra, sim.Func(func() {
 				start := m.Sim.Now()
 				arrival := start.Add(extra).Add(model.AdapterPair[port.Dim])
-				next := m.nodes[m.Torus.ID(m.Torus.Neighbor(node.Coord, port))]
+				next := node.nbr[topo.PortIndex(port)]
 				// A kill landing inside the occupancy (cut-through: the
 				// tail is still serializing after the head arrives)
 				// destroys the transfer; so does the next node dying
@@ -368,7 +368,7 @@ func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, a
 				m.metrics.HopArrive(pkt.Seq, next.ID, arrival)
 				if next.ID == pkt.Dst.Node {
 					avail := arrival.Add(model.ExtraSerialization(pkt.WireBytes()) + model.DstRing)
-					m.deliverLocal(m.newBranch(pkt), next.clients[pkt.Dst.Kind], avail)
+					m.deliverLocal(m.newBranch(pkt), next.client(pkt.Dst.Kind), avail)
 					return
 				}
 				m.forwardHard(pkt, next, arrival, false)

@@ -167,6 +167,10 @@ type Mapping struct {
 
 	bonds      []bondInstance
 	bondCounts bondCounts
+	// drift holds each atom's drift direction, three standard normals,
+	// drawn once per mapping the first time the bond program ages
+	// (drawDrift).
+	drift [][3]float64
 	// bondBySrc / bondByTerm index mp.bonds by current source and term.
 	bondBySrc, bondByTerm [][]int
 
@@ -533,6 +537,9 @@ func MeasureMigrationSync(m *machine.Machine) sim.Dur {
 // simulation).
 func (mp *Mapping) buildBondProgram(age int) {
 	sys := mp.Sys
+	if age != 0 {
+		mp.drawDrift()
+	}
 	// The assignment places each term on the home node of its first atom
 	// at snapshot time.
 	snapshot := func(atom int) topo.NodeID {
@@ -567,17 +574,32 @@ func (mp *Mapping) buildBondProgram(age int) {
 	mp.recountBondExpectations()
 }
 
+// drawDrift draws every atom's drift direction, once per mapping: three
+// standard normals from a source seeded by the mapping seed and the atom.
+// Each atom's draws land in its own slot, so they run on the worker pool.
+func (mp *Mapping) drawDrift() {
+	if mp.drift != nil {
+		return
+	}
+	mp.drift = make([][3]float64, len(mp.Sys.Pos))
+	par.ParFor(par.Workers(mp.Cfg.Workers), len(mp.drift), func(atom int) {
+		rng := rand.New(rand.NewSource(mp.Cfg.Seed*1_000_003 + int64(atom)))
+		mp.drift[atom] = [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+	})
+}
+
 // displacedHome returns the home node of atom after a random-walk
 // displacement of age steps. Each atom drifts along a fixed random
-// direction whose magnitude grows as sqrt(age), so the aging curves are
-// smooth and monotone rather than redrawn per sample.
+// direction (drawDrift, which must have run) whose magnitude grows as
+// sqrt(age), so the aging curves are smooth and monotone rather than
+// redrawn per sample.
 func (mp *Mapping) displacedHome(atom, age int) topo.NodeID {
-	rng := rand.New(rand.NewSource(mp.Cfg.Seed*1_000_003 + int64(atom)))
+	d := &mp.drift[atom]
 	std := math.Sqrt(2*mp.Cfg.DiffusionPerStep*float64(age)) * mp.Sys.Box
 	p := mp.Sys.Pos[atom]
-	p.X = wrapF(p.X+rng.NormFloat64()*std, mp.Sys.Box)
-	p.Y = wrapF(p.Y+rng.NormFloat64()*std, mp.Sys.Box)
-	p.Z = wrapF(p.Z+rng.NormFloat64()*std, mp.Sys.Box)
+	p.X = wrapF(p.X+d[0]*std, mp.Sys.Box)
+	p.Y = wrapF(p.Y+d[1]*std, mp.Sys.Box)
+	p.Z = wrapF(p.Z+d[2]*std, mp.Sys.Box)
 	return mp.homeOf(p)
 }
 
@@ -602,6 +624,7 @@ func (mp *Mapping) RegenerateBondProgram(lag int) { mp.buildBondProgram(lag) }
 // node is re-drawn from the diffusion model while term assignments stay
 // fixed, so bond communication distances grow (Figure 11's mechanism).
 func (mp *Mapping) SetBondAge(age int) {
+	mp.drawDrift()
 	// Each bond's displaced home is an independent pure computation with a
 	// disjoint write, so the re-draw runs on the worker pool.
 	par.ParFor(par.Workers(mp.Cfg.Workers), len(mp.bonds), func(i int) {

@@ -208,7 +208,8 @@ type McEntry struct {
 }
 
 // McTable is a per-node multicast lookup table, indexed by pattern id.
-// It grows to the highest id installed, at most MaxMulticastPatterns.
+// It grows to the highest id installed, at most MaxMulticastPatterns. The
+// zero value is an empty table.
 type McTable struct {
 	entries []mcSlot
 }
@@ -217,9 +218,6 @@ type mcSlot struct {
 	e  McEntry
 	ok bool
 }
-
-// NewMcTable returns an empty table.
-func NewMcTable() *McTable { return &McTable{} }
 
 // Set installs pattern id. An id outside [0, MaxMulticastPatterns)
 // panics, matching the hardware's 256-entry capacity.

@@ -106,7 +106,7 @@ func TestSliceAccumRangePanics(t *testing.T) {
 }
 
 func TestMcTable(t *testing.T) {
-	tab := NewMcTable()
+	tab := new(McTable)
 	e := McEntry{Local: []ClientKind{HTIS}, Out: []topo.Port{{Dim: topo.X, Dir: 1}}}
 	tab.Set(3, e)
 	got, ok := tab.Lookup(3)
@@ -122,7 +122,7 @@ func TestMcTable(t *testing.T) {
 }
 
 func TestMcTableCapacity(t *testing.T) {
-	tab := NewMcTable()
+	tab := new(McTable)
 	for i := 0; i < MaxMulticastPatterns; i++ {
 		tab.Set(MulticastID(i), McEntry{})
 	}
@@ -136,7 +136,7 @@ func TestMcTableCapacity(t *testing.T) {
 	// The table is full and id 256 is out of range anyway; use an in-range
 	// id by removing none — capacity panic fires first for a fresh id.
 	tab.Set(MulticastID(255), McEntry{}) // overwrite ok
-	tabFresh := NewMcTable()
+	tabFresh := new(McTable)
 	for i := 0; i < MaxMulticastPatterns; i++ {
 		tabFresh.Set(MulticastID(i), McEntry{})
 	}

@@ -20,6 +20,11 @@ type Resource struct {
 // NewResource returns a resource attached to s.
 func NewResource(s *Sim) *Resource { return &Resource{sim: s} }
 
+// Init attaches r to s with nothing served yet. A model that keeps its
+// resources by value inside its own records, instead of allocating each
+// one with NewResource, initialises them in place with it.
+func (r *Resource) Init(s *Sim) { *r = Resource{sim: s} }
+
 // Acquire schedules h to fire when the resource becomes free (no earlier
 // than now) and occupies the resource for service starting at that moment.
 // It returns the time at which service begins, which is also Sim.Now when

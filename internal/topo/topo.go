@@ -167,7 +167,15 @@ func (t Torus) Wrap(c Coord) Coord {
 	return Coord{mod(c.X, t.DimX), mod(c.Y, t.DimY), mod(c.Z, t.DimZ)}
 }
 
+// mod returns a modulo n in [0, n). A coordinate or a difference of two
+// coordinates is at most one ring out of range, which needs no division.
 func mod(a, n int) int {
+	switch {
+	case 0 <= a && a < n:
+		return a
+	case -n <= a && a < 0:
+		return a + n
+	}
 	m := a % n
 	if m < 0 {
 		m += n
@@ -180,14 +188,14 @@ func mod(a, n int) int {
 // dimension sizes at exactly half the ring) are broken toward the positive
 // direction, so routing is deterministic.
 func (t Torus) Delta(a, b Coord, d Dim) int {
-	n := t.Size(d)
-	diff := mod(b.Get(d)-a.Get(d), n)
+	return ringDelta(a.Get(d), b.Get(d), t.Size(d))
+}
+
+// ringDelta is Delta on one ring of n nodes, from coordinate a to b.
+func ringDelta(a, b, n int) int {
+	diff := mod(b-a, n)
 	if diff > n/2 {
 		return diff - n
-	}
-	if diff == n-diff && diff != 0 {
-		// Exactly half way: deterministic positive direction.
-		return diff
 	}
 	return diff
 }
@@ -203,11 +211,11 @@ func (t Torus) Hops(a, b Coord) int {
 
 // HopsByDim returns per-dimension unsigned hop counts between a and b.
 func (t Torus) HopsByDim(a, b Coord) [NumDims]int {
-	var h [NumDims]int
-	for d := X; d < NumDims; d++ {
-		h[d] = abs(t.Delta(a, b, d))
+	return [NumDims]int{
+		abs(ringDelta(a.X, b.X, t.DimX)),
+		abs(ringDelta(a.Y, b.Y, t.DimY)),
+		abs(ringDelta(a.Z, b.Z, t.DimZ)),
 	}
-	return h
 }
 
 // MaxHops returns the network diameter: the maximum shortest-path hop count

@@ -204,6 +204,35 @@ func TestHopsMetricProperty(t *testing.T) {
 	}
 }
 
+// Delta, HopsByDim and Wrap agree with plain modulo arithmetic for every
+// pair of coordinates up to two rings out of range, on rings of one to
+// nine nodes: the division-free paths for in-range values and the
+// division for the rest give the same answers.
+func TestRingArithmeticMatchesModulo(t *testing.T) {
+	ref := func(a, n int) int { return ((a % n) + n) % n }
+	for n := 1; n <= 9; n++ {
+		tor := NewTorus(n, n+1, 1)
+		for a := -2 * n; a <= 2*n; a++ {
+			if got, want := tor.Wrap(Coord{a, 0, 0}).X, ref(a, n); got != want {
+				t.Fatalf("n=%d: Wrap(%d) = %d, want %d", n, a, got, want)
+			}
+			for b := -2 * n; b <= 2*n; b++ {
+				want := ref(b-a, n)
+				if want > n/2 {
+					want -= n
+				}
+				ca, cb := Coord{a, 0, 0}, Coord{b, 0, 0}
+				if got := tor.Delta(ca, cb, X); got != want {
+					t.Fatalf("n=%d: Delta(%d, %d) = %d, want %d", n, a, b, got, want)
+				}
+				if got := tor.HopsByDim(ca, cb); got != [NumDims]int{abs(want), 0, 0} {
+					t.Fatalf("n=%d: HopsByDim(%v, %v) = %v, want [%d 0 0]", n, ca, cb, got, abs(want))
+				}
+			}
+		}
+	}
+}
+
 func TestHopsByDim(t *testing.T) {
 	tor := NewTorus(8, 8, 8)
 	h := tor.HopsByDim(Coord{0, 0, 0}, Coord{6, 4, 1})
