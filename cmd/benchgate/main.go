@@ -362,24 +362,27 @@ func measure(repeat int) []Row {
 			recorded("events_per_sec", perSec))
 	}
 	// The analytic rows time the closed-form batch with b.N (it runs in
-	// microseconds) and one equivalent DES run with a plain clock.
+	// microseconds) and one equivalent DES run with a plain clock, each
+	// the fastest of repeat measurements.
 	for _, bm := range harness.AnalyticBenchmarks() {
 		start := time.Now()
-		var checksum int64
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				checksum = bm.Run()
-			}
-		})
-		nsPerQuery := float64(r.NsPerOp()) / float64(bm.Queries)
-		var desNs int64
+		var checksum, batchNs, desNs int64
 		for k := 0; k < repeat; k++ {
+			r := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					checksum = bm.Run()
+				}
+			})
+			if ns := r.NsPerOp(); k == 0 || ns < batchNs {
+				batchNs = ns
+			}
 			t0 := time.Now()
 			bm.DES()
 			if d := time.Since(t0).Nanoseconds(); k == 0 || d < desNs {
 				desNs = d
 			}
 		}
+		nsPerQuery := float64(batchNs) / float64(bm.Queries)
 		var speedup, perSec float64
 		if nsPerQuery > 0 {
 			speedup, perSec = float64(desNs)/nsPerQuery, 1e9/nsPerQuery

@@ -77,12 +77,12 @@ func TestVerdicts(t *testing.T) {
 		{"serve cache misses +1", set(mix, "cache_misses", 7), false},
 		{"serve checksum changed", set(mix, "checksum", "7c83ba4a4144a88b"), false},
 
-		// 453,772 ns x 1.15 = 521,837.8 ns.
-		{"fig6 wall inside 15%", set(fig6, "wall_ns_per_op", 521837), true},
-		{"fig6 wall outside 15%", set(fig6, "wall_ns_per_op", 521838), false},
-		// 1,269,494,188 ns x 1.15 = 1,459,918,316.2 ns.
-		{"sweep wall inside 15%", set(sweep, "wall_ns_per_op", 1459918316), true},
-		{"sweep wall outside 15%", set(sweep, "wall_ns_per_op", 1459918317), false},
+		// 359,563 ns x 1.15 = 413,497.45 ns.
+		{"fig6 wall inside 15%", set(fig6, "wall_ns_per_op", 413497), true},
+		{"fig6 wall outside 15%", set(fig6, "wall_ns_per_op", 413498), false},
+		// 1,026,462,626 ns x 1.15 = 1,180,432,019.9 ns.
+		{"sweep wall inside 15%", set(sweep, "wall_ns_per_op", 1180432019), true},
+		{"sweep wall outside 15%", set(sweep, "wall_ns_per_op", 1180432020), false},
 		// 827 x 1.10 = 909.7 and 456,038 x 1.10 = 501,641.8.
 		{"fig6 allocs inside 10%", set(fig6, "allocs_per_op", 909), true},
 		{"fig6 allocs outside 10%", set(fig6, "allocs_per_op", 910), false},
@@ -96,15 +96,15 @@ func TestVerdicts(t *testing.T) {
 		{"p50 outside 50%, inside slack", set(mix, "p50_ms", 0.5015575), true},
 		{"p50 inside slack", set(mix, "p50_ms", 5.33437), true},
 		{"p50 outside slack", set(mix, "p50_ms", 5.334372), false},
-		// p99: 1,304.651374 ms x 1.5 = 1,956.977061 ms, beyond the
-		// 250 ms slack (1,554.651374 ms).
-		{"p99 inside slack", set(mix, "p99_ms", 1554.651373), true},
-		{"p99 outside slack, inside 50%", set(mix, "p99_ms", 1554.651375), true},
-		{"p99 inside 50%", set(mix, "p99_ms", 1956.97706), true},
-		{"p99 outside 50%", set(mix, "p99_ms", 1956.977062), false},
-		// rps, no slack: 150.04098384477817 x 0.5 = 75.0204919223891.
-		{"rps inside 50%", set(mix, "rps", 75.0204929), true},
-		{"rps outside 50%", set(mix, "rps", 75.0204909), false},
+		// p99: 1,389.310892 ms x 1.5 = 2,083.966338 ms, beyond the
+		// 250 ms slack (1,639.310892 ms).
+		{"p99 inside slack", set(mix, "p99_ms", 1639.310891), true},
+		{"p99 outside slack, inside 50%", set(mix, "p99_ms", 1639.310893), true},
+		{"p99 inside 50%", set(mix, "p99_ms", 2083.966337), true},
+		{"p99 outside 50%", set(mix, "p99_ms", 2083.966339), false},
+		// rps, no slack: 139.78146293510872 x 0.5 = 69.89073146755436.
+		{"rps inside 50%", set(mix, "rps", 69.8907324), true},
+		{"rps outside 50%", set(mix, "rps", 69.8907304), false},
 
 		{"p2p speedup 1000x", set(p2p, "speedup", 1000.0), true},
 		{"p2p speedup 999x", set(p2p, "speedup", 999.0), false},
@@ -157,7 +157,7 @@ func TestEnvironmentOverrides(t *testing.T) {
 			}
 		}
 	}
-	fresh := set("kernel/fig6", "wall_ns_per_op", 680657)(clone(base)) // +49.9998%
+	fresh := set("kernel/fig6", "wall_ns_per_op", 539344)(clone(base)) // +49.9999%
 	if !compare(io.Discard, base, fresh) {
 		t.Error("BENCH_TOLERANCE=0.50 did not admit a 49.99% slower fig6")
 	}

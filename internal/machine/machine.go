@@ -192,27 +192,13 @@ func New(s *sim.Sim, t topo.Torus, model noc.Model) *Machine {
 		n.ID, n.Coord, n.m = topo.NodeID(id), t.Coord(topo.NodeID(id)), m
 		for p, port := range topo.Ports {
 			n.links[p].Init(s)
-			n.nbr[p] = &m.nodes[neighbor(t, n.Coord, port)]
+			n.nbr[p] = &m.nodes[t.ID(t.Neighbor(n.Coord, port))]
 		}
 	}
 	if m.faults.HardFaults() {
 		m.setupHardFaults()
 	}
 	return m
-}
-
-// neighbor returns the ID of the node next to c through port p. The step
-// is ±1, so it wraps with one comparison, where Torus.Neighbor and
-// Torus.ID wrap every coordinate with a division.
-func neighbor(t topo.Torus, c topo.Coord, p topo.Port) topo.NodeID {
-	v, size := c.Get(p.Dim)+int(p.Dir), t.Size(p.Dim)
-	if v < 0 {
-		v += size
-	} else if v == size {
-		v = 0
-	}
-	c = c.Set(p.Dim, v)
-	return topo.NodeID((c.X*t.DimY+c.Y)*t.DimZ + c.Z)
 }
 
 // client returns n's client of kind k, building it the first time

@@ -708,20 +708,3 @@ func TestMulticastBuildsItsDestination(t *testing.T) {
 		t.Fatalf("counter = %d, want 1", v)
 	}
 }
-
-// Each node's neighbour through each port is the node Torus.Neighbor
-// names, on tori with extents of one, two and more.
-func TestNeighborWiring(t *testing.T) {
-	for _, dims := range [][3]int{{1, 1, 1}, {1, 2, 3}, {2, 2, 2}, {3, 4, 5}, {8, 8, 8}} {
-		tor := topo.NewTorus(dims[0], dims[1], dims[2])
-		m := New(sim.New(), tor, noc.DefaultModel())
-		for id := range m.nodes {
-			n := &m.nodes[id]
-			for p, port := range topo.Ports {
-				if got, want := n.nbr[p].ID, tor.ID(tor.Neighbor(n.Coord, port)); got != want {
-					t.Fatalf("%v: node %v port %v: neighbour %d, want %d", tor, n.Coord, port, got, want)
-				}
-			}
-		}
-	}
-}

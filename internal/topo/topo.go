@@ -167,8 +167,8 @@ func (t Torus) Wrap(c Coord) Coord {
 	return Coord{mod(c.X, t.DimX), mod(c.Y, t.DimY), mod(c.Z, t.DimZ)}
 }
 
-// mod returns a modulo n in [0, n). A coordinate or a difference of two
-// coordinates is at most one ring out of range, which needs no division.
+// mod returns a modulo n in [0, n). It divides only for a outside
+// [-n, n): no in-range coordinate or difference of two reaches that.
 func mod(a, n int) int {
 	switch {
 	case 0 <= a && a < n:
