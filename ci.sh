@@ -4,12 +4,13 @@
 # hard-failure recovery, checkpoint/restart, the analytic fast-path
 # tier, the HTTP serving tier with its cache-equivalence and stress
 # batteries), the golden-identity gate (every report byte-identical at
-# any -workers setting), the 512-node report goldens at -quick, and the
-# benchmark gate against the committed BENCH_gate.json: the event
-# kernel, the analytic fast path and the serving tier's load mix, each
-# field gated by the rule written next to it (exact event counts,
-# checksums and cache accounting, the >=1000x analytic speedup floor,
-# wall time, allocs/op, latency and throughput within a tolerance).
+# any -workers setting), the 512-node report goldens at -quick and the
+# full-size fastpath goldens in both fidelities, and the benchmark gate
+# against the committed BENCH_gate.json: the event kernel, the analytic
+# fast path and the serving tier's load mix, each field gated by the
+# rule written next to it (exact event counts, checksums and cache
+# accounting, the >=1000x analytic speedup floor, wall time, allocs/op,
+# latency and throughput within a tolerance).
 #
 # Usage: ./ci.sh
 #
@@ -258,16 +259,29 @@ done
 cmp "$tmpdir/golden-1.out" "$tmpdir/golden-8.out"
 cmp "$tmpdir/golden-trace-1.json" "$tmpdir/golden-trace-8.json"
 
-stage "512-node goldens (-quick)"
+stage "512-node goldens (-quick) and full fastpath"
 # The expensive 512-node reports (table3, scaling, and figures 11-13),
 # pinned byte for byte at -quick: each runs once through the real CLI,
 # its wall-clock footer stripped as above, and must match
-# cmd/antonbench/testdata/<id>-quick.golden. After an intentional model
-# change, regenerate a golden with the same pipeline redirected into it.
+# cmd/antonbench/testdata/<id>-quick.golden. The full-size fastpath
+# report in both fidelities (the 4x4x4 step-model calibration at 2,500
+# and 6,000 atoms, which go test pins only at -quick) must match
+# fastpath-full.golden and fastpath-analytic-full.golden the same way.
+# After an intentional model change, regenerate a golden with the same
+# pipeline redirected into it.
 for id in table3 scaling fig13 fig11 fig12; do
 	"$tmpdir/bin/antonbench" -quick -workers 1 "$id" |
 		sed -e '/^\[.* completed in /d' >"$tmpdir/$id-quick.out"
 	cmp "$tmpdir/$id-quick.out" "cmd/antonbench/testdata/$id-quick.golden"
+done
+for fidelity in des analytic; do
+	golden=fastpath-full
+	if [ "$fidelity" = analytic ]; then
+		golden=fastpath-analytic-full
+	fi
+	"$tmpdir/bin/antonbench" -workers 1 -fidelity "$fidelity" fastpath |
+		sed -e '/^\[.* completed in /d' >"$tmpdir/$golden.out"
+	cmp "$tmpdir/$golden.out" "cmd/antonbench/testdata/$golden.golden"
 done
 
 stage "benchmark gate (BENCH_gate.json)"
