@@ -33,13 +33,14 @@ type StepParams struct {
 }
 
 // CalibrationLinkStats is the link-occupancy evidence extracted from the
-// calibration runs' metrics recorder: it anchors the contention term's
-// traffic scalar to measured wire bytes and bounds the model's validity
-// domain (a saturated link means queueing is no longer near-linear in
-// offered load, so calibration refuses).
+// calibration runs' link counters (one metrics.LinkCounters per link,
+// fed by Machine.OnLink): it anchors the contention term's traffic scalar
+// to measured wire bytes and bounds the model's validity domain (a
+// saturated link means queueing is no longer near-linear in offered
+// load, so calibration refuses).
 type CalibrationLinkStats struct {
 	// MeasuredBytesPerStep: wire bytes serialized per step per node at the
-	// high reference, summed over all links (from metrics.Links()).
+	// high reference, summed over all links.
 	MeasuredBytesPerStep float64
 	// PredictedBytesPerStep: the closed-form traffic scalar at the high
 	// reference, before anchoring. AnchorRatio = Measured/Predicted scales
@@ -210,10 +211,16 @@ type reference struct {
 
 // reference runs the event simulator at the given atom count and
 // extracts step times, mapping parameters, and link-occupancy evidence.
+// The evidence is counted per link through Machine.OnLink, which sees
+// every transfer a recorder's LinkTransfer sees; no packet event is
+// logged.
 func (sm *StepModel) reference(atoms, steps int) (reference, error) {
 	s := sm.newSim()
-	rec := metrics.Attach(s)
 	m := machine.New(s, sm.Torus, sm.Model)
+	links := make([]metrics.LinkCounters, sm.Torus.Nodes()*len(topo.Ports))
+	m.OnLink = func(n topo.NodeID, p topo.Port, _ sim.Time, service sim.Dur, wireBytes int, wait sim.Dur) {
+		links[int(n)*len(topo.Ports)+topo.PortIndex(p)].Add(service, wireBytes, wait)
+	}
 	cfg := sm.Cfg
 	cfg.Atoms = atoms
 	mp := mdmap.New(s, m, cfg)
@@ -236,9 +243,10 @@ func (sm *StepModel) reference(atoms, steps int) (reference, error) {
 	}
 
 	// Link-occupancy statistics: the contention term's measured feed.
+	// Each is a sum or a maximum over links, so link order is immaterial.
 	var bytes, packets, queued uint64
 	var peakBusy, maxWait sim.Dur
-	for _, lr := range rec.Links() {
+	for _, lr := range links {
 		bytes += lr.Bytes
 		packets += lr.Packets
 		queued += lr.Queued

@@ -113,7 +113,7 @@ func fig13(sess *Session, quick bool) string {
 // topo.Ports order (X+, X-, Y+, Y-, Z+, Z-) matches the first six trace
 // units.
 func attachLinkTrace(m *machine.Machine, tr *trace.Tracer) {
-	m.OnLink = func(n topo.NodeID, p topo.Port, start sim.Time, service sim.Dur) {
+	m.OnLink = func(n topo.NodeID, p topo.Port, start sim.Time, service sim.Dur, _ int, _ sim.Dur) {
 		tr.Add(trace.Unit(topo.PortIndex(p)), start, start.Add(service), "", false)
 	}
 }

@@ -56,9 +56,12 @@ type Machine struct {
 	// injection of a packet begins.
 	OnSend func(pkt *packet.Packet, at sim.Time)
 	// OnLink, if non-nil, is invoked when a packet begins occupying node
-	// n's outgoing link on port p for the given service time. Used by the
-	// logic-analyzer tracing of Figure 13.
-	OnLink func(n topo.NodeID, p topo.Port, start sim.Time, service sim.Dur)
+	// n's outgoing link on port p for the given service time (fault
+	// retries included), with the packet's wire bytes and the head-of-line
+	// wait it found before start: the arguments of metrics.LinkTransfer.
+	// Used by the logic-analyzer tracing of Figure 13 and by the analytic
+	// step model's link counters.
+	OnLink func(n topo.NodeID, p topo.Port, start sim.Time, service sim.Dur, wireBytes int, wait sim.Dur)
 
 	// faults is the fault injector attached to the simulator, or nil.
 	// A nil injector (and a zero-rate plan) adds exactly zero to every
@@ -403,7 +406,7 @@ func (m *Machine) cross(b *branch) {
 		}
 	}
 	if m.OnLink != nil {
-		m.OnLink(node.ID, port, start, occupancy)
+		m.OnLink(node.ID, port, start, occupancy, pkt.WireBytes(), start.Sub(b.head))
 	}
 	if m.metrics != nil {
 		m.metrics.LinkTransfer(pkt.Seq, node.ID, port, start, occupancy, pkt.WireBytes(), start.Sub(b.head))

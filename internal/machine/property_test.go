@@ -91,11 +91,7 @@ func propRun(t *testing.T, work []propSend, pairs [][2]topo.NodeID, forceOrder i
 	tor := topo.NewTorus(shape[0], shape[1], shape[2])
 	s := sim.New()
 	m := New(s, tor, noc.DefaultModel())
-
-	for pi, p := range pairs {
-		m.SetMulticast(p[0], packet.MulticastID(pi), packet.McEntry{Out: []topo.Port{{Dim: topo.X, Dir: +1}}})
-		m.SetMulticast(p[1], packet.MulticastID(pi), packet.McEntry{Local: []packet.ClientKind{packet.Slice(pi % 4)}})
-	}
+	propSchedule(m, work, pairs, forceOrder)
 
 	var sent []sentRec
 	m.OnSend = func(pkt *packet.Packet, at sim.Time) {
@@ -112,7 +108,17 @@ func propRun(t *testing.T, work []propSend, pairs [][2]topo.NodeID, forceOrder i
 	m.OnDeliver = func(pkt *packet.Packet, dst packet.Client, at sim.Time) {
 		commits[pkt.Tag] = at
 	}
+	s.Run()
+	return m, sent, commits
+}
 
+// propSchedule installs the workload's multicast patterns on m and
+// schedules its sends; forceOrder is as for propRun.
+func propSchedule(m *Machine, work []propSend, pairs [][2]topo.NodeID, forceOrder int) {
+	for pi, p := range pairs {
+		m.SetMulticast(p[0], packet.MulticastID(pi), packet.McEntry{Out: []topo.Port{{Dim: topo.X, Dir: +1}}})
+		m.SetMulticast(p[1], packet.MulticastID(pi), packet.McEntry{Local: []packet.ClientKind{packet.Slice(pi % 4)}})
+	}
 	for i := range work {
 		w := work[i]
 		inOrder := w.inOrder
@@ -122,7 +128,7 @@ func propRun(t *testing.T, work []propSend, pairs [][2]topo.NodeID, forceOrder i
 			inOrder = true
 		}
 		src := m.Client(packet.Client{Node: w.src, Kind: packet.Slice0})
-		s.At(w.at, sim.Func(func() {
+		m.Sim.At(w.at, sim.Func(func() {
 			pkt := &packet.Packet{
 				Kind: w.kind, Multicast: w.mc, Counter: w.ctr,
 				Bytes: w.bytes, InOrder: inOrder, Tag: w.tag,
@@ -133,8 +139,6 @@ func propRun(t *testing.T, work []propSend, pairs [][2]topo.NodeID, forceOrder i
 			src.Send(pkt)
 		}))
 	}
-	s.Run()
-	return m, sent, commits
 }
 
 type sentRec struct {

@@ -361,7 +361,7 @@ func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, a
 					return
 				}
 				if m.OnLink != nil {
-					m.OnLink(node.ID, port, start, service+extra)
+					m.OnLink(node.ID, port, start, service+extra, pkt.WireBytes(), start.Sub(head))
 				}
 				m.metrics.LinkTransfer(pkt.Seq, node.ID, port, start, service+extra,
 					pkt.WireBytes(), start.Sub(head))

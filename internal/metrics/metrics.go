@@ -102,6 +102,22 @@ type LinkCounters struct {
 	MaxWait sim.Dur // worst head-of-line wait observed
 }
 
+// Add counts one packet of wireBytes serialized onto the link for
+// service (fault retries included) after a head-of-line wait. It is the
+// one update of link counters: Recorder.LinkTransfer calls it, and so
+// does any Machine.OnLink hook that keeps counters without a recorder.
+func (lc *LinkCounters) Add(service sim.Dur, wireBytes int, wait sim.Dur) {
+	lc.Packets++
+	lc.Bytes += uint64(wireBytes)
+	lc.Busy += service
+	if wait > 0 {
+		lc.Queued++
+		if wait > lc.MaxWait {
+			lc.MaxWait = wait
+		}
+	}
+}
+
 // Recorder accumulates lifecycle events, link counters, and labelled
 // phase spans for one simulator instance. The zero value is ready; a nil
 // recorder ignores every call.
@@ -180,15 +196,7 @@ func (r *Recorder) LinkTransfer(seq uint64, node topo.NodeID, port topo.Port, st
 		lc = &LinkCounters{}
 		r.links[key] = lc
 	}
-	lc.Packets++
-	lc.Bytes += uint64(wireBytes)
-	lc.Busy += service
-	if wait > 0 {
-		lc.Queued++
-		if wait > lc.MaxWait {
-			lc.MaxWait = wait
-		}
-	}
+	lc.Add(service, wireBytes, wait)
 }
 
 // HopArrive records the packet header exiting the arriving link adapter at
