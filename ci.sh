@@ -141,12 +141,17 @@ cmp "$tmpdir/bench-1.json" "$tmpdir/bench-8.json"
 cmp "$tmpdir/trace-1.json" "$tmpdir/trace-4.json"
 cmp "$tmpdir/trace-1.json" "$tmpdir/trace-8.json"
 
-stage "fuzz corpus (FuzzRequestDigest seeds)"
+stage "fuzz corpus (FuzzRequestDigest seeds; FuzzHandler seeds, -race)"
 # The serving tier's cache-key fuzzer: accepted request bodies must
 # digest identically under JSON reorder/whitespace re-encoding and
 # workers/metrics mutation, and differently when quick flips. Replays
-# the seed corpus as regular tests.
+# the seed corpus as regular tests. Then the handler-level fuzzer under
+# the race detector: rejected bodies posted to the run routes and
+# arbitrary job ids, digests and artifact kinds must answer a 4xx with
+# the JSON error body carrying the request parser's code, never a 5xx
+# or a panic.
 go test -run FuzzRequestDigest ./internal/serve
+go test -race -run FuzzHandler ./internal/serve
 
 stage "serve suite (-race -short)"
 # The simulation-as-a-service tier: request normalization and digest

@@ -309,10 +309,14 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]interface{}{"experiments": out})
 }
 
+// maxBodyBytes bounds a request body; a longer one is refused as
+// bad-body before it is parsed.
+const maxBodyBytes = 1 << 20
+
 // parseBody reads and normalizes the request, writing the 400 itself on
 // failure.
 func (s *Server) parseBody(w http.ResponseWriter, r *http.Request) *NormRequest {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad-body", err.Error())
 		return nil
