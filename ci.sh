@@ -2,10 +2,11 @@
 # CI gate: lint and static checks, the race-detector run of the short
 # test suite, the named subsystem batteries (fault injection, metrics,
 # hard-failure recovery, checkpoint/restart, the analytic fast-path
-# tier, the HTTP serving tier with its cache-equivalence and stress
-# batteries), the golden-identity gate (every report byte-identical at
-# any -workers setting), the 512-node report goldens at -quick and the
-# full-size fastpath goldens in both fidelities, and the benchmark gate
+# tier, the allocation bounds, the HTTP serving tier with its
+# cache-equivalence and stress batteries), the golden-identity gate
+# (every report byte-identical at any -workers setting), the 512-node
+# report goldens at -quick and the full-size fastpath goldens in both
+# fidelities, and the benchmark gate
 # against the committed BENCH_gate.json: the event kernel, the analytic
 # fast path and the serving tier's load mix, each field gated by the
 # rule written next to it (exact event counts, checksums and cache
@@ -110,6 +111,13 @@ stage "analytic suite"
 # both fidelities, and the -fidelity error paths of both CLIs.
 go test ./internal/analytic
 go test -run 'Fastpath|FidelityGate' ./cmd/antonbench ./cmd/latency
+
+stage "allocation bounds"
+# The machine build's object and byte bounds, the packet path's
+# per-write allocations and the cluster build's fixed object count.
+# These tests skip under the race detector, whose instrumentation
+# allocates on its own, so the -race stages above never run them.
+go test -run Allocations ./internal/machine ./internal/cluster
 
 stage "fuzz corpus (FuzzAnalyticVsDES seeds, -race)"
 # The analytic-vs-DES differential fuzzer's checked-in corpus — random

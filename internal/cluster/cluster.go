@@ -65,8 +65,8 @@ type Cluster struct {
 	Model Model
 	N     int
 
-	nic []*sim.Resource // per-rank injection (gap/bandwidth) pacing
-	cpu []*sim.Resource // per-rank receive processing
+	nic []sim.Resource // per-rank injection (gap/bandwidth) pacing
+	cpu []sim.Resource // per-rank receive processing
 
 	// faults is the fault injector attached to the simulator, or nil.
 	// It models fabric-level message loss repaired by a sender-side
@@ -87,12 +87,9 @@ type Cluster struct {
 
 // New builds a cluster of n ranks.
 func New(s *sim.Sim, n int, m Model) *Cluster {
-	c := &Cluster{Sim: s, Model: m, N: n, faults: fault.FromSim(s), metrics: metrics.FromSim(s)}
-	c.nic = make([]*sim.Resource, n)
-	c.cpu = make([]*sim.Resource, n)
-	for i := 0; i < n; i++ {
-		c.nic[i] = sim.NewResource(s)
-		c.cpu[i] = sim.NewResource(s)
+	c := &Cluster{
+		Sim: s, Model: m, N: n, faults: fault.FromSim(s), metrics: metrics.FromSim(s),
+		nic: make([]sim.Resource, n), cpu: make([]sim.Resource, n),
 	}
 	if c.faults.HardFaults() {
 		c.hard = true
@@ -128,7 +125,7 @@ func (c *Cluster) Send(src, dst, bytes int, onRecv func(at sim.Time)) {
 	attempts := 0
 	var attempt sim.Func
 	attempt = func() {
-		c.nic[src].Acquire(service, sim.Func(func() {
+		c.Sim.Acquire(&c.nic[src], service, sim.Func(func() {
 			start := c.Sim.Now()
 			if c.hard && c.faults.NodeKilledAt(src, start) {
 				// A dead rank issues nothing: the message is lost at the
@@ -157,7 +154,7 @@ func (c *Cluster) Send(src, dst, bytes int, onRecv func(at sim.Time)) {
 					c.rec.Lost++
 					return
 				}
-				c.cpu[dst].Acquire(m.RecvOverhead, sim.Func(func() {
+				c.Sim.Acquire(&c.cpu[dst], m.RecvOverhead, sim.Func(func() {
 					c.Sim.At(c.Sim.Now().Add(m.RecvOverhead), sim.Func(func() {
 						if onRecv != nil {
 							onRecv(c.Sim.Now())

@@ -16,6 +16,24 @@ func TestPingLatencyCalibration(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go under -race, whose instrumentation
+// allocates on its own.
+var raceEnabled bool
+
+// A cluster holds its ranks' NIC and CPU resources by value, so building
+// one allocates the same few objects whatever its rank count.
+func TestNewAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := sim.New()
+	for _, n := range []int{2, 512} {
+		if got := testing.AllocsPerRun(10, func() { New(s, n, DDR2InfiniBand()) }); got > 3 {
+			t.Errorf("cluster of %d ranks: %v allocations, want at most 3", n, got)
+		}
+	}
+}
+
 func TestSendDelivers(t *testing.T) {
 	s := sim.New()
 	c := New(s, 4, DDR2InfiniBand())

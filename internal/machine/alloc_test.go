@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -25,7 +26,11 @@ func TestBranchRecordFitsCacheLine(t *testing.T) {
 
 // Building a machine allocates a fixed handful of objects, whatever its
 // node count: the nodes, with their links and multicast tables, are one
-// block, and no client exists until something addresses it.
+// block, and no client exists until something addresses it. The block
+// holds only what the model reads: a link is a zero resource and a
+// neighbour is an ID, so a Default512 build allocates 164,416 bytes
+// (205,376 when each link kept its simulator and each node six neighbour
+// pointers); the bound leaves ~3% for the runtime's rounding.
 func TestBuildAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -42,6 +47,26 @@ func TestBuildAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(10, tc.build); got > 16 {
 			t.Errorf("%s build: %v allocations, want at most 16", tc.name, got)
 		}
+	}
+	const runs, maxBytes = 10, 170_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		Default512(s)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > maxBytes {
+		t.Errorf("Default512 build: %d bytes, want at most %d", got, maxBytes)
+	}
+}
+
+// BenchmarkBuild times a Default512 build, the machine every serving-tier
+// miss and every fresh-machine experiment starts from.
+func BenchmarkBuild(b *testing.B) {
+	s := sim.New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Default512(s)
 	}
 }
 

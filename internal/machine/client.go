@@ -23,12 +23,11 @@ type Client struct {
 }
 
 // newClient builds n's client of kind k, its ports and FIFO in one
-// allocation, and installs it. Only Node.client calls it.
+// allocation, and installs it. Its ports are zero resources, free at time
+// zero. Only Node.client calls it.
 func (n *Node) newClient(k packet.ClientKind) *Client {
 	m := n.m
 	c := &Client{Addr: packet.Client{Node: n.ID, Kind: k}, m: m, fifo: FIFO{m: m}}
-	c.send.Init(m.Sim)
-	c.recv.Init(m.Sim)
 	n.clients[k] = c
 	return c
 }

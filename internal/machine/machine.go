@@ -167,7 +167,7 @@ type Node struct {
 
 	m     *Machine
 	links [6]sim.Resource
-	nbr   [6]*Node // the neighbour through each port, indexed like links
+	nbr   [6]int32 // the neighbour's ID through each port, indexed like links
 	mc    packet.McTable
 	// clients holds the clients built so far; Node.client builds the
 	// rest the first time something addresses them.
@@ -177,7 +177,9 @@ type Node struct {
 // New constructs a machine with the given torus dimensions and timing
 // model. Its allocations do not grow with the node count: the nodes,
 // their links and their multicast tables are one block, and a client is
-// built only when something first addresses it (DESIGN §9.5).
+// built only when something first addresses it. A node's links start as
+// zero resources, free at time zero, so the build writes only each
+// node's identity, its machine and its neighbours' IDs (DESIGN §9.5).
 func New(s *sim.Sim, t topo.Torus, model noc.Model) *Machine {
 	m := &Machine{
 		Sim:      s,
@@ -193,9 +195,8 @@ func New(s *sim.Sim, t topo.Torus, model noc.Model) *Machine {
 	for id := range m.nodes {
 		n := &m.nodes[id]
 		n.ID, n.Coord, n.m = topo.NodeID(id), t.Coord(topo.NodeID(id)), m
-		for p, port := range topo.Ports {
-			n.links[p].Init(s)
-			n.nbr[p] = &m.nodes[t.ID(t.Neighbor(n.Coord, port))]
+		for p, nb := range t.Neighbors(n.Coord) {
+			n.nbr[p] = int32(nb)
 		}
 	}
 	if m.faults.HardFaults() {
@@ -253,7 +254,7 @@ func (m *Machine) Faults() *fault.Injector { return m.faults }
 // Metrics returns the lifecycle recorder observing this machine, or nil.
 func (m *Machine) Metrics() *metrics.Recorder { return m.metrics }
 
-// nextStart predicts the service-start time Resource.Acquire will use
+// nextStart predicts the service-start time Sim.Acquire will use
 // for the next acquisition of r: the fault layer needs it to decide
 // whether a traversal falls inside a scheduled link outage.
 func (m *Machine) nextStart(r *sim.Resource) sim.Time {
@@ -305,7 +306,7 @@ func (m *Machine) send(src *Client, pkt *packet.Packet) {
 	lat += m.faults.NodeSlowExtra(int(src.Addr.Node), lat)
 	b := m.newBranch(pkt)
 	b.st, b.node, b.dur = stInject, &m.nodes[src.Addr.Node], lat
-	src.send.Acquire(gap, b)
+	m.Sim.Acquire(&src.send, gap, b)
 }
 
 // inject runs when the source's injection port begins serving b's
@@ -358,7 +359,7 @@ func (m *Machine) hop(b *branch, node *Node, port topo.Port, head sim.Time) {
 func (m *Machine) depart(b *branch) {
 	pkt, node, port := b.pkt, b.node, topo.Ports[b.port]
 	if m.hard && pkt.Multicast != packet.NoMulticast {
-		if next := node.nbr[b.port].ID; m.linkDeadNow(topo.LinkID{Node: node.ID, Port: port}) || m.nodeDeadNow(next) {
+		if next := topo.NodeID(node.nbr[b.port]); m.linkDeadNow(topo.LinkID{Node: node.ID, Port: port}) || m.nodeDeadNow(next) {
 			// The branch is already known dead: fall back to unicast
 			// copies over the recomputed routes for every destination
 			// in the subtree, instead of losing them and paying a
@@ -378,7 +379,7 @@ func (m *Machine) depart(b *branch) {
 		m.metrics.HopDepart(pkt.Seq, node.ID, port, m.Sim.Now())
 	}
 	b.st, b.dur, b.extra = stCross, service, extra
-	link.Acquire(service+extra, b)
+	m.Sim.Acquire(link, service+extra, b)
 }
 
 // cross runs when the link begins carrying b's packet: the header
@@ -389,7 +390,7 @@ func (m *Machine) cross(b *branch) {
 	start := m.Sim.Now()
 	occupancy := b.dur + b.extra
 	arrival := start.Add(b.extra).Add(m.Model.AdapterPair[port.Dim])
-	next := node.nbr[b.port]
+	next := &m.nodes[node.nbr[b.port]]
 	mc := pkt.Multicast != packet.NoMulticast
 	if m.hard && mc {
 		// A kill landing inside the occupancy, or the next node dying
@@ -482,7 +483,7 @@ func (m *Machine) receive(b *branch) {
 		return
 	}
 	b.st = stAvail
-	dst.recv.Acquire(m.Model.ClientService(dst.Addr.Kind, pkt.WireBytes()), b)
+	m.Sim.Acquire(&dst.recv, m.Model.ClientService(dst.Addr.Kind, pkt.WireBytes()), b)
 }
 
 // available runs when the delivery port begins serving b's packet: it
@@ -527,7 +528,7 @@ func (m *Machine) resolveMulticast(n topo.NodeID, id packet.MulticastID) []packe
 			out = append(out, packet.Client{Node: cur, Kind: kind})
 		}
 		for _, port := range entry.Out {
-			queue = append(queue, m.nodes[cur].nbr[topo.PortIndex(port)].ID)
+			queue = append(queue, topo.NodeID(m.nodes[cur].nbr[topo.PortIndex(port)]))
 		}
 	}
 	return out

@@ -708,3 +708,26 @@ func TestMulticastBuildsItsDestination(t *testing.T) {
 		t.Fatalf("counter = %d, want 1", v)
 	}
 }
+
+// The neighbour a built machine stores for each port is the node the
+// torus names through that port, on every node. Rings of one and two
+// nodes are where the +1 and -1 steps reach the same node; fastpath's
+// quick calibration runs on 2×2×2.
+func TestNeighborsMatchTopo(t *testing.T) {
+	s := sim.New()
+	for _, tor := range []topo.Torus{
+		topo.NewTorus(8, 8, 8), topo.NewTorus(4, 4, 4), topo.NewTorus(2, 3, 5),
+		topo.NewTorus(2, 2, 2), topo.NewTorus(1, 1, 1),
+	} {
+		m := New(s, tor, noc.DefaultModel())
+		for id := range m.nodes {
+			n := &m.nodes[id]
+			for p, port := range topo.Ports {
+				want := tor.ID(tor.Neighbor(n.Coord, port))
+				if got := topo.NodeID(n.nbr[p]); got != want {
+					t.Errorf("%v: node %v port %v stores neighbour %d, want %d", tor, n.Coord, port, got, want)
+				}
+			}
+		}
+	}
+}

@@ -340,10 +340,10 @@ func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, a
 			service := model.LinkService(pkt.WireBytes())
 			extra := m.faults.LinkExtra(int(node.ID), port, service, m.nextStart(link))
 			m.metrics.HopDepart(pkt.Seq, node.ID, port, m.Sim.Now())
-			link.Acquire(service+extra, sim.Func(func() {
+			m.Sim.Acquire(link, service+extra, sim.Func(func() {
 				start := m.Sim.Now()
 				arrival := start.Add(extra).Add(model.AdapterPair[port.Dim])
-				next := node.nbr[topo.PortIndex(port)]
+				next := &m.nodes[node.nbr[topo.PortIndex(port)]]
 				// A kill landing inside the occupancy (cut-through: the
 				// tail is still serializing after the head arrives)
 				// destroys the transfer; so does the next node dying

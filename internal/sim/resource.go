@@ -4,12 +4,10 @@ package sim
 // DMA engine: each acquisition occupies the resource for a caller-supplied
 // service time, and requests are served strictly in arrival order.
 //
-// Acquire returns immediately (it only schedules); the supplied callback
-// runs at the simulated time at which service *begins*, so it reads its
-// start time from Sim.Now. The resource is released automatically when
-// the service time elapses.
+// A Resource is plain data that Sim.Acquire schedules against. The zero
+// value is free at time zero, so a model keeps its resources by value
+// inside its own records and never initialises them.
 type Resource struct {
-	sim *Sim
 	// freeAt is the earliest time the resource can begin the next service.
 	freeAt Time
 	// busy accumulates total occupied time, for utilization reporting.
@@ -17,30 +15,19 @@ type Resource struct {
 	uses uint64
 }
 
-// NewResource returns a resource attached to s.
-func NewResource(s *Sim) *Resource { return &Resource{sim: s} }
-
-// Init attaches r to s with nothing served yet. A model that keeps its
-// resources by value inside its own records, instead of allocating each
-// one with NewResource, initialises them in place with it.
-func (r *Resource) Init(s *Sim) { *r = Resource{sim: s} }
-
-// Acquire schedules h to fire when the resource becomes free (no earlier
-// than now) and occupies the resource for service starting at that moment.
-// It returns the time at which service begins, which is also Sim.Now when
-// h fires. A nil h only occupies the resource. h is queued as given, with
-// no wrapper, so a record that is its own handler schedules without
-// allocating.
-func (r *Resource) Acquire(service Dur, h Handler) Time {
-	start := r.freeAt
-	if now := r.sim.Now(); start < now {
-		start = now
-	}
+// Acquire schedules h to fire when r becomes free (no earlier than now)
+// and occupies r for service starting at that moment. It returns the time
+// at which service begins, which is also Now when h fires. A nil h only
+// occupies the resource. h is queued as given, with no wrapper, so a
+// record that is its own handler schedules without allocating. The
+// resource is released automatically when the service time elapses.
+func (s *Sim) Acquire(r *Resource, service Dur, h Handler) Time {
+	start := max(r.freeAt, s.now)
 	r.freeAt = start.Add(service)
 	r.busy += service
 	r.uses++
 	if h != nil {
-		r.sim.At(start, h)
+		s.At(start, h)
 	}
 	return start
 }

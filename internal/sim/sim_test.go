@@ -170,11 +170,11 @@ func TestRunOrderProperty(t *testing.T) {
 
 func TestResourceSerializesFIFO(t *testing.T) {
 	s := New()
-	r := NewResource(s)
+	var r Resource // the zero value is free at time zero
 	var starts []Time
 	// Three back-to-back acquisitions of 100 ps each at t=0.
 	for i := 0; i < 3; i++ {
-		r.Acquire(100, Func(func() { starts = append(starts, s.Now()) }))
+		s.Acquire(&r, 100, Func(func() { starts = append(starts, s.Now()) }))
 	}
 	s.Run()
 	want := []Time{0, 100, 200}
@@ -193,10 +193,10 @@ func TestResourceSerializesFIFO(t *testing.T) {
 
 func TestResourceIdleGap(t *testing.T) {
 	s := New()
-	r := NewResource(s)
-	r.Acquire(10, nil)
+	var r Resource
+	s.Acquire(&r, 10, nil)
 	s.After(100, Func(func() {
-		start := r.Acquire(10, nil)
+		start := s.Acquire(&r, 10, nil)
 		if start != 100 {
 			t.Errorf("start after idle gap = %v, want 100", start)
 		}
@@ -213,7 +213,7 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		s := New()
-		r := NewResource(s)
+		var r Resource
 		n := 1 + rng.Intn(40)
 		type span struct{ start, end Time }
 		var spans []span
@@ -221,7 +221,7 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 			at := Time(rng.Intn(500))
 			service := Dur(1 + rng.Intn(50))
 			s.At(at, Func(func() {
-				r.Acquire(service, Func(func() {
+				s.Acquire(&r, service, Func(func() {
 					st := s.Now()
 					spans = append(spans, span{st, st.Add(service)})
 				}))

@@ -275,6 +275,36 @@ func (t Torus) Neighbor(c Coord, p Port) Coord {
 	return t.Wrap(c.Set(p.Dim, c.Get(p.Dim)+int(p.Dir)))
 }
 
+// Neighbors returns the IDs of the six nodes one hop from c, in the order
+// of Ports: entry PortIndex(p) is ID(Neighbor(c, p)). Each ring is stepped
+// with the torus strides and one comparison per direction, without
+// dividing.
+func (t Torus) Neighbors(c Coord) [6]NodeID {
+	c = t.Wrap(c)
+	id := NodeID((c.X*t.DimY+c.Y)*t.DimZ + c.Z)
+	sy := NodeID(t.DimZ)
+	var out [6]NodeID
+	out[0], out[1] = ringSteps(id, c.X, t.DimX, sy*NodeID(t.DimY))
+	out[2], out[3] = ringSteps(id, c.Y, t.DimY, sy)
+	out[4], out[5] = ringSteps(id, c.Z, t.DimZ, 1)
+	return out
+}
+
+// ringSteps returns the IDs one step up and one step down a ring of n
+// nodes from node id at ring position i, where stride is the ID distance
+// between adjacent nodes of the ring. On rings of one and two nodes both
+// steps reach the same node.
+func ringSteps(id NodeID, i, n int, stride NodeID) (up, down NodeID) {
+	up, down = id+stride, id-stride
+	if i == n-1 {
+		up -= NodeID(n) * stride
+	}
+	if i == 0 {
+		down += NodeID(n) * stride
+	}
+	return up, down
+}
+
 // Neighbors26 returns the coordinates of the (up to) 26 distinct nodes in
 // the 3x3x3 cube surrounding c, excluding c itself. On small tori some
 // offsets alias to the same node or to c itself; duplicates are removed.
