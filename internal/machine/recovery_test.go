@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"crypto/sha256"
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -14,6 +16,8 @@ import (
 	"anton/internal/sim"
 	"anton/internal/topo"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files with the current output")
 
 // hardMachine builds a 4x4x4 machine under the given hard-fault plan.
 func hardMachine(t *testing.T, plan string) *Machine {
@@ -333,20 +337,23 @@ func TestOutOfRangeKillsIgnored(t *testing.T) {
 	}
 }
 
-// TestRecoveryRunUntilStress is a replay battery for hard-failure
-// recovery: each seed derives a torus, a fault-plan class — none, soft
-// corruption+stalls, a scheduled outage, a killed link, or a killed
-// node — and a spray of counted writes with registered waits sized to
-// the exactly reachable targets. The run stops three times with
-// RunUntil while traffic (and, for kill classes, watchdog recovery) is
-// in flight. The full trajectory — send stream, delivery log, wait
-// completions, recovery tally, final clock — must match a straight Run
-// of the same seed.
-func TestRecoveryRunUntilStress(t *testing.T) {
-	seeds := 300
-	if testing.Short() {
-		seeds = 40
-	}
+// recoverySeeds is the number of seeds in the hard-failure replay
+// battery: TestRecoveryRunUntilStress runs the first 40 of them under
+// -short, TestHardPathTrajectoryGolden pins all of them.
+const recoverySeeds = 300
+
+// recoveryTrajectory runs seed i of the hard-failure replay battery and
+// returns its trajectory log and recovery tally. The seed derives a
+// torus, a fault-plan class — none, soft corruption+stalls, a scheduled
+// outage, a killed link, or a killed node — and a spray of counted
+// writes with registered waits sized to the exactly reachable targets.
+// With stop set, the run stops three times with RunUntil while traffic
+// (and, for kill classes, watchdog recovery) is in flight before it
+// runs to the end. The log holds every send, delivery and wait
+// completion with its time, then the traffic stats, the recovery tally,
+// the final clock, Fired() and Pending().
+func recoveryTrajectory(t *testing.T, i int, stop bool) (string, RecoveryStats) {
+	t.Helper()
 	shapes := [][3]int{{2, 2, 2}, {4, 2, 2}, {4, 4, 2}, {4, 4, 4}}
 
 	type ctrKey struct {
@@ -354,105 +361,114 @@ func TestRecoveryRunUntilStress(t *testing.T) {
 		ctr packet.CounterID
 	}
 
-	run := func(seed int64, stop bool) (string, RecoveryStats) {
-		rng := rand.New(rand.NewSource(seed))
-		shape := shapes[rng.Intn(len(shapes))]
-		tor := topo.NewTorus(shape[0], shape[1], shape[2])
-		nodes := tor.Nodes()
+	seed := int64(i)*104729 + 13
+	rng := rand.New(rand.NewSource(seed))
+	shape := shapes[rng.Intn(len(shapes))]
+	tor := topo.NewTorus(shape[0], shape[1], shape[2])
+	nodes := tor.Nodes()
 
-		plan := fault.Plan{Seed: uint64(seed)}
-		switch rng.Intn(5) {
-		case 0:
-			// fault-free
-		case 1:
-			plan.CorruptRate = 0.02
-			plan.RetryLatency = 30 * sim.Ns
-			plan.StallRate = 0.01
-			plan.StallDur = 100 * sim.Ns
-		case 2:
-			l := fault.Link{Node: rng.Intn(nodes), Port: topo.Port{Dim: topo.X, Dir: +1}}
-			plan.Down = []fault.Window{{Link: l, From: sim.Time(400 * sim.Ns), Until: sim.Time(2 * sim.Us)}}
-		case 3:
-			l := fault.Link{Node: rng.Intn(nodes), Port: topo.Port{Dim: topo.Y, Dir: -1}}
-			plan.KillLinks = []fault.LinkKill{{Link: l, At: sim.Time(1 * sim.Us)}}
-			plan.Watchdog = 15 * sim.Us
-		case 4:
-			plan.KillNodes = []fault.NodeKill{{Node: rng.Intn(nodes), At: sim.Time(1 * sim.Us)}}
-			plan.Watchdog = 15 * sim.Us
-		}
-
-		s := sim.New()
-		if !plan.IsZero() || plan.Seed != 0 {
-			fault.Attach(s, plan)
-		}
-		m := New(s, tor, noc.DefaultModel())
-
-		var log strings.Builder
-		m.OnSend = func(pkt *packet.Packet, at sim.Time) {
-			fmt.Fprintf(&log, "S %d %s %v\n", pkt.Seq, pkt.Tag, at)
-		}
-		m.OnDeliver = func(pkt *packet.Packet, dst packet.Client, at sim.Time) {
-			fmt.Fprintf(&log, "D %d %s %v %v\n", pkt.Seq, pkt.Tag, dst, at)
-		}
-
-		expected := make(map[ctrKey]uint64)
-		order := make([]ctrKey, 0, 32)
-		const sends = 80
-		for i := 0; i < sends; i++ {
-			srcNode := topo.NodeID(rng.Intn(nodes))
-			dst := packet.Client{Node: topo.NodeID(rng.Intn(nodes)), Kind: packet.Slice(rng.Intn(4))}
-			ctr := packet.CounterID(rng.Intn(4))
-			at := sim.Time(rng.Int63n(int64(3 * sim.Us)))
-			bytes := rng.Intn(257)
-			inOrder := rng.Intn(3) == 0
-			tag := fmt.Sprintf("p%d", i)
-			key := ctrKey{dst, ctr}
-			if expected[key] == 0 {
-				order = append(order, key)
-			}
-			expected[key]++
-			src := m.Client(packet.Client{Node: srcNode, Kind: packet.Slice0})
-			s.At(at, sim.Func(func() {
-				src.Send(&packet.Packet{
-					Kind: packet.Write, Dst: dst, Multicast: packet.NoMulticast,
-					Counter: ctr, Addr: 8 * (i % 32), Bytes: bytes, InOrder: inOrder, Tag: tag,
-				})
-			}))
-		}
-		// Register a wait per (client, counter) at its exactly reachable
-		// target; under kill plans the watchdog completes stalled waits by
-		// re-issue or degradation, so every wait still fires.
-		for _, key := range order {
-			key := key
-			target := expected[key]
-			m.Client(key.c).Wait(key.ctr, target, func() {
-				fmt.Fprintf(&log, "W %v %d %d %v\n", key.c, key.ctr, target, s.Now())
-			})
-		}
-
-		if stop {
-			for _, deadline := range []sim.Time{sim.Time(800 * sim.Ns), sim.Time(2 * sim.Us), sim.Time(5 * sim.Us)} {
-				if s.RunUntil(deadline) {
-					break
-				}
-				if s.Now() != deadline {
-					t.Fatalf("seed %d: RunUntil(%v) left the clock at %v", seed, deadline, s.Now())
-				}
-			}
-		}
-		s.Run()
-		st := m.Stats()
-		fmt.Fprintf(&log, "stats %d %d %d %d\n", st.Sent, st.Received, st.SentBytes, st.RecvBytes)
-		fmt.Fprintf(&log, "recovery %v\n", m.Recovery())
-		fmt.Fprintf(&log, "end %v %d pending=%d\n", s.Now(), s.Fired(), s.Pending())
-		return log.String(), m.Recovery()
+	plan := fault.Plan{Seed: uint64(seed)}
+	switch rng.Intn(5) {
+	case 0:
+		// fault-free
+	case 1:
+		plan.CorruptRate = 0.02
+		plan.RetryLatency = 30 * sim.Ns
+		plan.StallRate = 0.01
+		plan.StallDur = 100 * sim.Ns
+	case 2:
+		l := fault.Link{Node: rng.Intn(nodes), Port: topo.Port{Dim: topo.X, Dir: +1}}
+		plan.Down = []fault.Window{{Link: l, From: sim.Time(400 * sim.Ns), Until: sim.Time(2 * sim.Us)}}
+	case 3:
+		l := fault.Link{Node: rng.Intn(nodes), Port: topo.Port{Dim: topo.Y, Dir: -1}}
+		plan.KillLinks = []fault.LinkKill{{Link: l, At: sim.Time(1 * sim.Us)}}
+		plan.Watchdog = 15 * sim.Us
+	case 4:
+		plan.KillNodes = []fault.NodeKill{{Node: rng.Intn(nodes), At: sim.Time(1 * sim.Us)}}
+		plan.Watchdog = 15 * sim.Us
 	}
 
+	s := sim.New()
+	if !plan.IsZero() || plan.Seed != 0 {
+		fault.Attach(s, plan)
+	}
+	m := New(s, tor, noc.DefaultModel())
+
+	var log strings.Builder
+	m.OnSend = func(pkt *packet.Packet, at sim.Time) {
+		fmt.Fprintf(&log, "S %d %s %v\n", pkt.Seq, pkt.Tag, at)
+	}
+	m.OnDeliver = func(pkt *packet.Packet, dst packet.Client, at sim.Time) {
+		fmt.Fprintf(&log, "D %d %s %v %v\n", pkt.Seq, pkt.Tag, dst, at)
+	}
+
+	expected := make(map[ctrKey]uint64)
+	order := make([]ctrKey, 0, 32)
+	const sends = 80
+	for i := 0; i < sends; i++ {
+		srcNode := topo.NodeID(rng.Intn(nodes))
+		dst := packet.Client{Node: topo.NodeID(rng.Intn(nodes)), Kind: packet.Slice(rng.Intn(4))}
+		ctr := packet.CounterID(rng.Intn(4))
+		at := sim.Time(rng.Int63n(int64(3 * sim.Us)))
+		bytes := rng.Intn(257)
+		inOrder := rng.Intn(3) == 0
+		tag := fmt.Sprintf("p%d", i)
+		key := ctrKey{dst, ctr}
+		if expected[key] == 0 {
+			order = append(order, key)
+		}
+		expected[key]++
+		src := m.Client(packet.Client{Node: srcNode, Kind: packet.Slice0})
+		s.At(at, sim.Func(func() {
+			src.Send(&packet.Packet{
+				Kind: packet.Write, Dst: dst, Multicast: packet.NoMulticast,
+				Counter: ctr, Addr: 8 * (i % 32), Bytes: bytes, InOrder: inOrder, Tag: tag,
+			})
+		}))
+	}
+	// Register a wait per (client, counter) at its exactly reachable
+	// target; under kill plans the watchdog completes stalled waits by
+	// re-issue or degradation, so every wait still fires.
+	for _, key := range order {
+		key := key
+		target := expected[key]
+		m.Client(key.c).Wait(key.ctr, target, func() {
+			fmt.Fprintf(&log, "W %v %d %d %v\n", key.c, key.ctr, target, s.Now())
+		})
+	}
+
+	if stop {
+		for _, deadline := range []sim.Time{sim.Time(800 * sim.Ns), sim.Time(2 * sim.Us), sim.Time(5 * sim.Us)} {
+			if s.RunUntil(deadline) {
+				break
+			}
+			if s.Now() != deadline {
+				t.Fatalf("seed %d: RunUntil(%v) left the clock at %v", i, deadline, s.Now())
+			}
+		}
+	}
+	s.Run()
+	st := m.Stats()
+	fmt.Fprintf(&log, "stats %d %d %d %d\n", st.Sent, st.Received, st.SentBytes, st.RecvBytes)
+	fmt.Fprintf(&log, "recovery %v\n", m.Recovery())
+	fmt.Fprintf(&log, "end %v %d pending=%d\n", s.Now(), s.Fired(), s.Pending())
+	return log.String(), m.Recovery()
+}
+
+// TestRecoveryRunUntilStress is a replay battery for hard-failure
+// recovery: for each seed, the trajectory of a run stopped three times
+// with RunUntil while traffic and recovery are in flight — send stream,
+// delivery log, wait completions, recovery tally, final clock — must
+// match a straight Run of the same seed.
+func TestRecoveryRunUntilStress(t *testing.T) {
+	seeds := recoverySeeds
+	if testing.Short() {
+		seeds = 40
+	}
 	var recovered uint64
 	for seed := 0; seed < seeds; seed++ {
-		sd := int64(seed)*104729 + 13
-		want, _ := run(sd, false)
-		got, rec := run(sd, true)
+		want, _ := recoveryTrajectory(t, seed, false)
+		got, rec := recoveryTrajectory(t, seed, true)
 		if got != want {
 			t.Fatalf("seed %d: trajectory with RunUntil stops diverged from a straight Run\n--- straight ---\n%s\n--- with stops ---\n%s",
 				seed, want, got)
@@ -461,5 +477,44 @@ func TestRecoveryRunUntilStress(t *testing.T) {
 	}
 	if recovered == 0 {
 		t.Fatal("no kill-class seed ever lost traffic; watchdog recovery was not exercised")
+	}
+}
+
+// TestHardPathTrajectoryGolden pins the straight-run trajectory of every
+// seed of the hard-failure replay battery: one line per seed holding the
+// SHA-256 of its log, which records every send, delivery and wait
+// completion with its time, the stats, the recovery tally, the final
+// clock and the event counts. A change to the transport that moves one
+// event, tie-break or loss changes a digest. Regenerate with
+//
+//	go test ./internal/machine -run TestHardPathTrajectoryGolden -update
+func TestHardPathTrajectoryGolden(t *testing.T) {
+	var got strings.Builder
+	for seed := 0; seed < recoverySeeds; seed++ {
+		log, _ := recoveryTrajectory(t, seed, false)
+		fmt.Fprintf(&got, "%d %x\n", seed, sha256.Sum256([]byte(log)))
+	}
+	path := filepath.Join("testdata", "hardpath-trajectories.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	gotLines := strings.Split(got.String(), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d trajectory lines, golden has %d", len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("trajectory digest changed: got %q, golden %q", gotLines[i], wantLines[i])
+		}
 	}
 }
