@@ -227,11 +227,14 @@ wait "$chaos_pid"
 
 stage "recovery suite"
 # Hard-failure survival: the machine and cluster recovery batteries
-# (fault-aware rerouting, watchdog reissue/degraded waits, uplink
-# failover), the detour-route property tests, the killed-link and
-# dead-node scenario goldens, the recovery-event observability tests,
-# the checkpoint format validation tests, and the killsweep golden.
-go test -race -run 'KilledLink|DeadNode|Watchdog|Reissue|InOrderTickets|RecoveryDeterministic|KillFree|ClusterUplink|ClusterAllReduceDead|ClusterDesmondDead|ClusterRecovery|ClusterKillFree|RouteTable|Detour|Scenario|Recovery' \
+# (fault-aware rerouting, dead sources and destinations, multicast
+# branches rerouted unicast with their in-order tickets, kills beyond
+# the torus, watchdog reissue/degraded waits, uplink failover), the
+# hard-path trajectory golden, the link hook's counters under a kill,
+# the detour-route property tests, the killed-link and dead-node
+# scenario goldens, the recovery-event observability tests, the
+# checkpoint format validation tests, and the killsweep golden.
+go test -race -run 'KilledLink|DeadNode|DeadSource|Watchdog|Reissue|InOrderTickets|MulticastDeadBranch|MulticastReroute|OutOfRangeKills|HardPathTrajectory|OnLinkCounters|RecoveryDeterministic|KillFree|ClusterUplink|ClusterAllReduceDead|ClusterDesmondDead|ClusterRecovery|ClusterKillFree|RouteTable|Detour|Scenario|Recovery' \
 	./internal/machine ./internal/cluster ./internal/topo ./internal/fault ./internal/metrics
 go test ./internal/checkpoint
 go test -run Killsweep ./cmd/antonbench

@@ -351,7 +351,8 @@ const recoverySeeds = 300
 // (and, for kill classes, watchdog recovery) is in flight before it
 // runs to the end. The log holds every send, delivery and wait
 // completion with its time, then the traffic stats, the recovery tally,
-// the final clock, Fired() and Pending().
+// the final clock, Fired() and Pending(). Every run must end with every
+// packet accounted for and nothing pending.
 func recoveryTrajectory(t *testing.T, i int, stop bool) (string, RecoveryStats) {
 	t.Helper()
 	shapes := [][3]int{{2, 2, 2}, {4, 2, 2}, {4, 4, 2}, {4, 4, 4}}
@@ -448,11 +449,18 @@ func recoveryTrajectory(t *testing.T, i int, stop bool) (string, RecoveryStats) 
 		}
 	}
 	s.Run()
-	st := m.Stats()
+	st, rec := m.Stats(), m.Recovery()
 	fmt.Fprintf(&log, "stats %d %d %d %d\n", st.Sent, st.Received, st.SentBytes, st.RecvBytes)
-	fmt.Fprintf(&log, "recovery %v\n", m.Recovery())
+	fmt.Fprintf(&log, "recovery %v\n", rec)
 	fmt.Fprintf(&log, "end %v %d pending=%d\n", s.Now(), s.Fired(), s.Pending())
-	return log.String(), m.Recovery()
+	// Conservation at quiescence: every unicast injection, first send or
+	// re-issue, commits or is booked lost, exactly once, and no event is
+	// left queued.
+	if in, out := sends+rec.Reissues, st.Received+rec.Lost; in != out || s.Pending() != 0 {
+		t.Fatalf("seed %d: %d sends + %d reissues != %d received + %d lost, or %d events pending",
+			i, sends, rec.Reissues, st.Received, rec.Lost, s.Pending())
+	}
+	return log.String(), rec
 }
 
 // TestRecoveryRunUntilStress is a replay battery for hard-failure
