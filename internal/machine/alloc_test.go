@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"anton/internal/fault"
 	"anton/internal/noc"
 	"anton/internal/packet"
 	"anton/internal/sim"
@@ -72,25 +73,50 @@ func BenchmarkBuild(b *testing.B) {
 
 // The packet path allocates nothing per hop, delivery or commit: once the
 // branch free list and the event queue have warmed up, a counted write
-// run to completion allocates only its packet, and a multicast write's
-// deliveries share the sender's packet, so fanning out to more
-// destinations adds no allocation. With the free list empty, the write
-// allocates its record too, and nothing else: the record is its own
-// event handler.
+// run to completion allocates only its packet, however many hops it
+// takes, and a multicast write's deliveries share the sender's packet,
+// so fanning out to more destinations adds no allocation. With the free
+// list empty, the write allocates its record too, and nothing else: the
+// record is its own event handler. A machine under a kill plan routes
+// each hop through its fault-epoch tables on the same record, so it
+// allocates no more; the kill is off every write's path.
 func TestPacketPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	s := sim.New()
-	m := Default512(s)
+	for _, tc := range []struct{ name, plan string }{
+		{"fault-free", ""},
+		{"killlink", "seed=1,killlink=300:Y+@0ns"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New()
+			if tc.plan != "" {
+				fault.Attach(s, fault.MustParsePlan(tc.plan))
+			}
+			m := Default512(s)
+			if m.hard != (tc.plan != "") {
+				t.Fatalf("plan %q: hard path %v", tc.plan, m.hard)
+			}
+			packetPathAllocations(t, m)
+		})
+	}
+}
+
+func packetPathAllocations(t *testing.T, m *Machine) {
+	s := m.Sim
 	a := m.NodeAt(topo.C(0, 0, 0))
 	src := m.Client(slice0(a.ID))
 	dst := slice0(m.NodeAt(topo.C(1, 0, 0)).ID)
-	if got := testing.AllocsPerRun(100, func() {
-		src.Write(dst, 0, 0, 0)
-		s.Run()
-	}); got > 1 {
-		t.Errorf("single-hop counted write: %v allocations, want at most 1 (the packet)", got)
+	for _, w := range []struct {
+		hops int
+		dst  packet.Client
+	}{{1, dst}, {3, slice0(m.NodeAt(topo.C(1, 1, 1)).ID)}} {
+		if got := testing.AllocsPerRun(100, func() {
+			src.Write(w.dst, 0, 0, 0)
+			s.Run()
+		}); got > 1 {
+			t.Errorf("%d-hop counted write: %v allocations, want at most 1 (the packet)", w.hops, got)
+		}
 	}
 	if got := testing.AllocsPerRun(100, func() {
 		m.free = m.free[:0]

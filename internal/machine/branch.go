@@ -10,6 +10,7 @@ type stage uint8
 
 const (
 	stInject  stage = iota // injection port granted: the packet enters the network
+	stRoute                // header on a node's ring under a kill plan: choose the egress
 	stDepart               // header at a node's egress: queue for the link
 	stCross                // link granted: cross to the neighbour
 	stReceive              // packet at its destination client: queue for the delivery port
@@ -17,12 +18,12 @@ const (
 	stCommit               // the packet's effect lands in its destination
 )
 
-// branch is one in-flight branch of a packet on the static transport: a
-// unicast packet from injection to commit, or one branch of a multicast
-// packet (a link subtree up to its next fan-out, or one local delivery).
-// It holds the operands of its next stage and is its own event handler,
-// so moving a packet along allocates nothing and firing an event loads
-// only the record.
+// branch is one in-flight branch of a packet: a unicast packet from
+// injection to commit, under a kill plan as in a fault-free run, or one
+// branch of a multicast packet (a link subtree up to its next fan-out,
+// or one local delivery). It holds the operands of its next stage and
+// is its own event handler, so moving a packet along allocates nothing
+// and firing an event loads only the record.
 //
 // The record fits one 64-byte cache line, the first thing every event
 // touches after sitting in a deep queue: the port is its index into
@@ -32,12 +33,11 @@ const (
 // A record is scheduled at most once at a time; while an in-order commit
 // waits in its pair's ledger the record is parked there instead. It
 // returns to the machine's free list when its packet commits, is lost,
-// leaves for the hard-fault transport (recovery.go), or forks at a
-// multicast node.
+// or forks at a multicast node.
 type branch struct {
 	m    *Machine
 	pkt  *packet.Packet
-	node *Node   // stInject: the source node; stDepart, stCross: the node the header is at
+	node *Node   // stInject: the source node; stRoute, stDepart, stCross: the node the header is at
 	dst  *Client // stReceive, stAvail, stCommit: the destination client
 
 	head  sim.Time // stCross: when the header reached the egress
@@ -46,6 +46,7 @@ type branch struct {
 
 	st   stage
 	port uint8 // stDepart, stCross: the outgoing port's index into topo.Ports
+	src  bool  // stRoute: node is the packet's source, so the ring latency is SrcRing
 }
 
 // newBranch returns a record for pkt, from the free list when it has one.
@@ -75,6 +76,8 @@ func (b *branch) Fire() {
 	switch b.st {
 	case stInject:
 		m.inject(b)
+	case stRoute:
+		m.route(b)
 	case stDepart:
 		m.depart(b)
 	case stCross:

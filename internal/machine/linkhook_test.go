@@ -16,9 +16,9 @@ import (
 // link, on the same run. The property workload's unicast and multicast
 // traffic runs on a 4x4x4 machine fault-free, under corruption and
 // stalls (fault retries extend each occupancy), and under a link kill
-// (unicast hops take forwardHard, multicast subtrees are lost). The
-// analytic step model's calibration counts link traffic this way
-// instead of attaching a recorder.
+// (unicast hops route by the fault-epoch tables and detour, multicast
+// subtrees are lost). The analytic step model's calibration counts link
+// traffic this way instead of attaching a recorder.
 func TestOnLinkCountersMatchRecorder(t *testing.T) {
 	shape := [3]int{4, 4, 4}
 	work, pairs := propWorkload(5, shape, 600)

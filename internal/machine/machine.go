@@ -339,8 +339,7 @@ func (m *Machine) inject(b *branch) {
 		// Node-local delivery travels the on-chip ring only.
 		m.deliverLocal(b, node.client(pkt.Dst.Kind), inject.Add(m.Model.LocalRing))
 	case m.hard:
-		m.release(b)
-		m.forwardHard(pkt, node, inject, true)
+		m.steer(b, node, inject, true)
 	default:
 		port, _ := m.Torus.RoutePort(node.Coord, m.nodes[pkt.Dst.Node].Coord)
 		m.hop(b, node, port, inject.Add(m.Model.SrcRing))
@@ -392,17 +391,28 @@ func (m *Machine) cross(b *branch) {
 	arrival := start.Add(b.extra).Add(m.Model.AdapterPair[port.Dim])
 	next := &m.nodes[node.nbr[b.port]]
 	mc := pkt.Multicast != packet.NoMulticast
-	if m.hard && mc {
-		// A kill landing inside the occupancy, or the next node dying
-		// before the header clears its adapter, destroys the subtree.
-		if kt, ok := m.linkKillTime(topo.LinkID{Node: node.ID, Port: port}); ok && kt < start.Add(occupancy) {
-			m.release(b)
-			m.loseSubtree(pkt, next.ID)
-			return
+	if m.hard {
+		// A kill landing inside the occupancy (cut-through: the tail is
+		// still serializing after the head arrives) destroys the
+		// transfer, and with it the packet or the multicast subtree it
+		// feeds; so does the next node dying before the header clears
+		// its adapter.
+		lost, reason := false, lossLink
+		if kt, ok := m.linkKill[topo.LinkID{Node: node.ID, Port: port}]; ok && kt < start.Add(occupancy) {
+			lost = true
+		} else if kt, ok := m.nodeKill[next.ID]; ok && kt <= arrival {
+			lost = true
+			if next.ID == pkt.Dst.Node {
+				reason = lossDstDead
+			}
 		}
-		if kt, ok := m.nodeKillTime(next.ID); ok && kt <= arrival {
+		if lost {
 			m.release(b)
-			m.loseSubtree(pkt, next.ID)
+			if mc {
+				m.loseSubtree(pkt, next.ID)
+			} else {
+				m.losePacket(pkt, pkt.Dst, reason)
+			}
 			return
 		}
 	}
@@ -419,6 +429,8 @@ func (m *Machine) cross(b *branch) {
 	case next.ID == pkt.Dst.Node:
 		avail := arrival.Add(m.Model.ExtraSerialization(pkt.WireBytes()) + m.Model.DstRing)
 		m.deliverLocal(b, next.client(pkt.Dst.Kind), avail)
+	case m.hard:
+		m.steer(b, next, arrival, false)
 	default:
 		port, _ := m.Torus.RoutePort(next.Coord, m.nodes[pkt.Dst.Node].Coord)
 		m.hop(b, next, port, arrival.Add(m.Model.Through[port.Dim]))

@@ -4,19 +4,21 @@ package machine
 // recovery of synchronization counters, and degraded-mode completion.
 //
 // When the attached fault plan permanently kills links or nodes
-// (fault.Plan.HardFaults), the machine switches its transport to
-// hop-by-hop routing over a topo.RouteTable that is recomputed at every
-// kill instant (a "fault epoch"), so surviving traffic detours around
-// dead links with minimal routes in the surviving graph. Packets caught
-// by a kill — on a link that dies mid-transfer, addressed to a dead
-// node, or injected by one — are recorded as lost instead of silently
-// vanishing, and every synchronization-counter wait is guarded by an
-// end-to-end watchdog: if the counter has not reached its target within
-// the plan's watchdog deadline, the recovery path re-issues the
-// known-lost counted writes over the detour routes, or — when the
-// missing increments come from permanently dead sources — completes the
-// wait in degraded mode by synthesizing them, so no injected hard
-// failure can deadlock the discrete-event simulation.
+// (fault.Plan.HardFaults), each unicast hop takes its egress from a
+// topo.RouteTable recomputed at every kill instant (a "fault epoch")
+// instead of the static dimension-ordered route, so surviving traffic
+// detours around dead links with minimal routes in the surviving graph.
+// The packet keeps its branch record: the route stage picks the egress
+// on each node's ring. Packets caught by a kill — on a link that dies
+// mid-transfer, addressed to a dead node, or injected by one — are
+// recorded as lost instead of silently vanishing, and every
+// synchronization-counter wait is guarded by an end-to-end watchdog: if
+// the counter has not reached its target within the plan's watchdog
+// deadline, the recovery path re-issues the known-lost counted writes
+// over the detour routes, or — when the missing increments come from
+// permanently dead sources — completes the wait in degraded mode by
+// synthesizing them, so no injected hard failure can deadlock the
+// discrete-event simulation.
 //
 // Everything here is gated on m.hard: a plan without kills takes none of
 // these branches, schedules no extra events, and therefore reproduces
@@ -71,7 +73,8 @@ type recState struct {
 	compensated uint64
 }
 
-// waitState tracks one watchdog-guarded counter wait.
+// waitState tracks one watchdog-guarded counter wait. It is the handler
+// of its own watchdog deadlines.
 type waitState struct {
 	c      *Client
 	ctr    packet.CounterID
@@ -79,6 +82,9 @@ type waitState struct {
 	done   bool
 	checks int
 }
+
+// Fire runs the watchdog check at one of ws's deadlines.
+func (ws *waitState) Fire() { ws.c.m.watchdogCheck(ws) }
 
 // watchdogMaxChecks bounds consecutive watchdog deadlines on one wait;
 // exceeding it means recovery cannot make progress, which is a modelling
@@ -190,16 +196,6 @@ func (m *Machine) linkDeadNow(l topo.LinkID) bool {
 	return ok && t <= m.Sim.Now()
 }
 
-func (m *Machine) linkKillTime(l topo.LinkID) (sim.Time, bool) {
-	t, ok := m.linkKill[l]
-	return t, ok
-}
-
-func (m *Machine) nodeKillTime(n topo.NodeID) (sim.Time, bool) {
-	t, ok := m.nodeKill[n]
-	return t, ok
-}
-
 func (m *Machine) recStateFor(key recKey) *recState {
 	st, ok := m.deficit[key]
 	if !ok {
@@ -304,77 +300,45 @@ func (m *Machine) mcReroute(pkt *packet.Packet, node *Node, subtree topo.NodeID,
 			m.deliverLocal(m.newBranch(cp), node.client(dst.Kind), at.Add(m.Model.LocalRing))
 			continue
 		}
-		m.forwardHard(cp, node, at, false)
+		m.steer(m.newBranch(cp), node, at, false)
 	}
 }
 
-// forwardHard transports pkt hop by hop over the current fault-epoch
-// routing table. ringAt is the instant the header is on node's on-chip
-// network choosing an egress port; atSource selects the injection-side
-// ring latency for the first hop (matching the static path's timing).
-func (m *Machine) forwardHard(pkt *packet.Packet, node *Node, ringAt sim.Time, atSource bool) {
-	m.Sim.At(ringAt, sim.Func(func() {
-		model := &m.Model
-		if m.nodeDeadNow(node.ID) {
-			// The node died under a transiting packet.
-			m.losePacket(pkt, pkt.Dst, lossLink)
-			return
-		}
-		if m.nodeDeadNow(pkt.Dst.Node) {
-			m.losePacket(pkt, pkt.Dst, lossDstDead)
-			return
-		}
-		port, ok := m.rt.NextHop(node.ID, pkt.Dst.Node)
-		if !ok {
-			m.losePacket(pkt, pkt.Dst, lossUnreachable)
-			return
-		}
-		var head sim.Time
-		if atSource {
-			head = ringAt.Add(model.SrcRing)
-		} else {
-			head = ringAt.Add(model.Through[port.Dim])
-		}
-		link := &node.links[topo.PortIndex(port)]
-		m.Sim.At(head, sim.Func(func() {
-			service := model.LinkService(pkt.WireBytes())
-			extra := m.faults.LinkExtra(int(node.ID), port, service, m.nextStart(link))
-			m.metrics.HopDepart(pkt.Seq, node.ID, port, m.Sim.Now())
-			m.Sim.Acquire(link, service+extra, sim.Func(func() {
-				start := m.Sim.Now()
-				arrival := start.Add(extra).Add(model.AdapterPair[port.Dim])
-				next := &m.nodes[node.nbr[topo.PortIndex(port)]]
-				// A kill landing inside the occupancy (cut-through: the
-				// tail is still serializing after the head arrives)
-				// destroys the transfer; so does the next node dying
-				// before the header clears its adapter.
-				if kt, ok := m.linkKillTime(topo.LinkID{Node: node.ID, Port: port}); ok && kt < start.Add(service+extra) {
-					m.losePacket(pkt, pkt.Dst, lossLink)
-					return
-				}
-				if kt, ok := m.nodeKillTime(next.ID); ok && kt <= arrival {
-					reason := lossLink
-					if next.ID == pkt.Dst.Node {
-						reason = lossDstDead
-					}
-					m.losePacket(pkt, pkt.Dst, reason)
-					return
-				}
-				if m.OnLink != nil {
-					m.OnLink(node.ID, port, start, service+extra, pkt.WireBytes(), start.Sub(head))
-				}
-				m.metrics.LinkTransfer(pkt.Seq, node.ID, port, start, service+extra,
-					pkt.WireBytes(), start.Sub(head))
-				m.metrics.HopArrive(pkt.Seq, next.ID, arrival)
-				if next.ID == pkt.Dst.Node {
-					avail := arrival.Add(model.ExtraSerialization(pkt.WireBytes()) + model.DstRing)
-					m.deliverLocal(m.newBranch(pkt), next.client(pkt.Dst.Kind), avail)
-					return
-				}
-				m.forwardHard(pkt, next, arrival, false)
-			}))
-		}))
-	}))
+// steer schedules b's unicast header on node's on-chip ring at `at`,
+// where the route stage picks its egress from the fault-epoch routing
+// table. src marks the packet's source node, whose ring latency to the
+// egress is SrcRing rather than the transit Through.
+func (m *Machine) steer(b *branch, node *Node, at sim.Time, src bool) {
+	b.st, b.node, b.src = stRoute, node, src
+	m.Sim.At(at, b)
+}
+
+// route runs when b's header is on a node's ring under a kill plan: the
+// packet takes the current epoch's next hop toward its destination, or
+// is lost to a dead node, a dead destination or a missing route.
+func (m *Machine) route(b *branch) {
+	pkt, node := b.pkt, b.node
+	var port topo.Port
+	ok, reason := false, lossLink
+	switch {
+	case m.nodeDeadNow(node.ID):
+		// The node died under a transiting packet.
+	case m.nodeDeadNow(pkt.Dst.Node):
+		reason = lossDstDead
+	default:
+		port, ok = m.rt.NextHop(node.ID, pkt.Dst.Node)
+		reason = lossUnreachable
+	}
+	if !ok {
+		m.release(b)
+		m.losePacket(pkt, pkt.Dst, reason)
+		return
+	}
+	ring := m.Model.Through[port.Dim]
+	if b.src {
+		ring = m.Model.SrcRing
+	}
+	m.hop(b, node, port, m.Sim.Now().Add(ring))
 }
 
 // waitGuarded registers a counter wait, adding the end-to-end watchdog
@@ -396,11 +360,7 @@ func (m *Machine) waitGuarded(c *Client, ctr packet.CounterID, target uint64, po
 		ws.done = true
 		wrapped()
 	})
-	m.armWatchdog(ws)
-}
-
-func (m *Machine) armWatchdog(ws *waitState) {
-	m.Sim.After(m.wdog, sim.Func(func() { m.watchdogCheck(ws) }))
+	m.Sim.After(m.wdog, ws)
 }
 
 // watchdogCheck runs at a guarded wait's deadline. A wait that fired in
@@ -445,7 +405,7 @@ func (m *Machine) watchdogCheck(ws *waitState) {
 			*re = *cp
 			m.send(m.Client(cp.Src), re)
 		}
-		m.armWatchdog(ws)
+		m.Sim.After(m.wdog, ws)
 		return
 	}
 	if st != nil && st.dead > st.compensated &&
@@ -453,7 +413,7 @@ func (m *Machine) watchdogCheck(ws *waitState) {
 		m.completeDegraded(ws, st)
 		return
 	}
-	m.armWatchdog(ws)
+	m.Sim.After(m.wdog, ws)
 }
 
 // completeDegraded finishes a wait whose missing increments come from

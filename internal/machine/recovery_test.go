@@ -342,7 +342,7 @@ func TestOutOfRangeKillsIgnored(t *testing.T) {
 // -short, TestHardPathTrajectoryGolden pins all of them.
 const recoverySeeds = 300
 
-// recoveryTrajectory runs seed i of the hard-failure replay battery and
+// recoveryTrajectory runs one seed of the hard-failure replay battery and
 // returns its trajectory log and recovery tally. The seed derives a
 // torus, a fault-plan class — none, soft corruption+stalls, a scheduled
 // outage, a killed link, or a killed node — and a spray of counted
@@ -353,7 +353,7 @@ const recoverySeeds = 300
 // completion with its time, then the traffic stats, the recovery tally,
 // the final clock, Fired() and Pending(). Every run must end with every
 // packet accounted for and nothing pending.
-func recoveryTrajectory(t *testing.T, i int, stop bool) (string, RecoveryStats) {
+func recoveryTrajectory(t *testing.T, seed int, stop bool) (string, RecoveryStats) {
 	t.Helper()
 	shapes := [][3]int{{2, 2, 2}, {4, 2, 2}, {4, 4, 2}, {4, 4, 4}}
 
@@ -362,13 +362,13 @@ func recoveryTrajectory(t *testing.T, i int, stop bool) (string, RecoveryStats) 
 		ctr packet.CounterID
 	}
 
-	seed := int64(i)*104729 + 13
-	rng := rand.New(rand.NewSource(seed))
+	sd := int64(seed)*104729 + 13
+	rng := rand.New(rand.NewSource(sd))
 	shape := shapes[rng.Intn(len(shapes))]
 	tor := topo.NewTorus(shape[0], shape[1], shape[2])
 	nodes := tor.Nodes()
 
-	plan := fault.Plan{Seed: uint64(seed)}
+	plan := fault.Plan{Seed: uint64(sd)}
 	switch rng.Intn(5) {
 	case 0:
 		// fault-free
@@ -444,7 +444,7 @@ func recoveryTrajectory(t *testing.T, i int, stop bool) (string, RecoveryStats) 
 				break
 			}
 			if s.Now() != deadline {
-				t.Fatalf("seed %d: RunUntil(%v) left the clock at %v", i, deadline, s.Now())
+				t.Fatalf("seed %d: RunUntil(%v) left the clock at %v", seed, deadline, s.Now())
 			}
 		}
 	}
@@ -458,7 +458,7 @@ func recoveryTrajectory(t *testing.T, i int, stop bool) (string, RecoveryStats) 
 	// left queued.
 	if in, out := sends+rec.Reissues, st.Received+rec.Lost; in != out || s.Pending() != 0 {
 		t.Fatalf("seed %d: %d sends + %d reissues != %d received + %d lost, or %d events pending",
-			i, sends, rec.Reissues, st.Received, rec.Lost, s.Pending())
+			seed, sends, rec.Reissues, st.Received, rec.Lost, s.Pending())
 	}
 	return log.String(), rec
 }
