@@ -504,12 +504,10 @@ func TestHardPathTrajectoryGolden(t *testing.T) {
 	}
 	path := filepath.Join("testdata", "hardpath-trajectories.golden")
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
