@@ -131,11 +131,13 @@ stage "metrics suite"
 # (histogram merge associativity/commutativity, count conservation),
 # the Figure 6 measured-vs-calibrated cross-validation, the golden
 # report/JSON/trace artifacts, and — under the race detector — the
-# parallel shard-merge test plus the metrics-on golden-identity gate
-# (recording must not change a byte of any simulation result).
+# parallel shard-merge test, the artifacts' worker independence and the
+# passivity checks: a recorder on the machine must leave all 300
+# hard-path trajectories on their golden digests, and one on the
+# cluster must leave its recovery run's time and tally unchanged.
 go test ./internal/metrics
-go test -race -run 'ParallelShardMerge|MetricsArtifactsWorkerIndependent|MetricsZeroOverheadIdentity' \
-	./internal/metrics ./internal/harness ./cmd/antonbench
+go test -race -run 'ParallelShardMerge|MetricsArtifactsWorkerIndependent|HardPathTrajectory|ClusterRecoveryDeterministic' \
+	./internal/metrics ./internal/harness ./internal/machine ./internal/cluster
 
 stage "metrics worker-independence (BENCH_metrics.json)"
 # The machine-readable artifact must be byte-identical at any -workers
@@ -152,7 +154,7 @@ cmp "$tmpdir/trace-1.json" "$tmpdir/trace-8.json"
 stage "fuzz corpus (FuzzRequestDigest seeds; FuzzHandler seeds, -race)"
 # The serving tier's cache-key fuzzer: accepted request bodies must
 # digest identically under JSON reorder/whitespace re-encoding and
-# workers/metrics mutation, and differently when quick flips. Replays
+# workers/timeout_ms mutation, and differently when quick flips. Replays
 # the seed corpus as regular tests. Then the handler-level fuzzer under
 # the race detector: rejected bodies posted to the run routes and
 # arbitrary job ids, digests and artifact kinds must answer a 4xx with

@@ -116,27 +116,3 @@ func TestFastpathGolden(t *testing.T) {
 		}
 	}
 }
-
-// TestMetricsZeroOverheadIdentity pins the observability layer's
-// determinism contract against the golden reports: with a lifecycle
-// recorder attached to every harness simulator, fig6 and table1 must
-// reproduce the metrics-off goldens byte for byte. Recording is purely
-// passive — it never schedules events — so if this test fails, the
-// metrics layer has started perturbing simulation results.
-func TestMetricsZeroOverheadIdentity(t *testing.T) {
-	for _, id := range []string{"fig6", "table1"} {
-		e, ok := harness.Lookup(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		got := e.RunWith(&harness.Session{Workers: 1, Metrics: true}, false)
-		want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != string(want) {
-			t.Errorf("%s with metrics enabled differs from the metrics-off golden: recording perturbed the simulation\n--- got ---\n%s--- want ---\n%s",
-				id, got, want)
-		}
-	}
-}

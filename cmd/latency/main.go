@@ -92,18 +92,17 @@ func measure(tor topo.Torus, from, to topo.Coord, bytes int, plan *fault.Plan, r
 	if plan != nil {
 		fault.Attach(s, *plan)
 	}
-	var rec *metrics.Recorder
-	if record {
-		rec = metrics.Attach(s)
-	}
 	m := machine.New(s, tor, noc.DefaultModel())
+	if record {
+		m.Metrics = metrics.New()
+	}
 	src := packet.Client{Node: m.Torus.ID(from), Kind: packet.Slice0}
 	dst := packet.Client{Node: m.Torus.ID(to), Kind: packet.Slice0}
 	var avail sim.Time
 	m.Client(dst).Wait(0, 1, func() { avail = s.Now() })
 	m.Client(src).Write(dst, 0, 0, bytes)
 	s.Run()
-	return sim.Dur(avail), m.Faults().Stats(), rec
+	return sim.Dur(avail), m.Faults().Stats(), m.Metrics
 }
 
 // config is one validated invocation.

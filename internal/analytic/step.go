@@ -116,8 +116,9 @@ type StepModel struct {
 // StepOptions tunes CalibrateStep.
 type StepOptions struct {
 	// NewSim constructs the simulators for the calibration runs; nil means
-	// sim.New. The harness passes its worker-pool constructor so fastpath
-	// reports stay identical at any -workers.
+	// sim.New. The harness passes its session's NewSim, which arms the
+	// session's abort hook, so a cancelled request stops its calibration
+	// at the next event batch.
 	NewSim func() *sim.Sim
 	// Steps per calibration run (at least one of each step kind must
 	// occur); 0 means 4, matching the Table 3 measurement convention.

@@ -65,6 +65,11 @@ type Cluster struct {
 	Model Model
 	N     int
 
+	// Metrics, if non-nil, records every message's software-to-software
+	// latency. Set it right after New, before any traffic; recording is
+	// passive and never changes a result.
+	Metrics *metrics.Recorder
+
 	nic []sim.Resource // per-rank injection (gap/bandwidth) pacing
 	cpu []sim.Resource // per-rank receive processing
 
@@ -73,10 +78,6 @@ type Cluster struct {
 	// retransmission timeout (the reliability layer commodity
 	// interconnects run in firmware or the MPI transport).
 	faults *fault.Injector
-
-	// metrics is the lifecycle recorder attached to the simulator, or
-	// nil; it observes per-message software-to-software latencies.
-	metrics *metrics.Recorder
 
 	// Hard-failure state (recovery.go); nil/zero unless the plan kills a
 	// link or node, so kill-free plans reproduce the old model exactly.
@@ -88,7 +89,7 @@ type Cluster struct {
 // New builds a cluster of n ranks.
 func New(s *sim.Sim, n int, m Model) *Cluster {
 	c := &Cluster{
-		Sim: s, Model: m, N: n, faults: fault.FromSim(s), metrics: metrics.FromSim(s),
+		Sim: s, Model: m, N: n, faults: fault.FromSim(s),
 		nic: make([]sim.Resource, n), cpu: make([]sim.Resource, n),
 	}
 	if c.faults.HardFaults() {
@@ -109,7 +110,7 @@ func (c *Cluster) Send(src, dst, bytes int, onRecv func(at sim.Time)) {
 	if bw := sim.Dur(bytes) * m.PsPerByte; bw > service {
 		service = bw
 	}
-	if rec := c.metrics; rec != nil {
+	if rec := c.Metrics; rec != nil {
 		// Latency is measured from the software issuing the send to the
 		// receiver software holding the message, so NIC queueing and any
 		// timeout-and-retransmit recoveries are part of the sample.

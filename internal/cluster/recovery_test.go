@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anton/internal/fault"
+	"anton/internal/metrics"
 	"anton/internal/sim"
 )
 
@@ -85,19 +86,27 @@ func TestClusterDesmondDeadRankCompletes(t *testing.T) {
 }
 
 // Recovery is deterministic: identical kill plans produce identical
-// completion times and tallies.
+// completion times and tallies, and recording the run changes neither.
 func TestClusterRecoveryDeterministic(t *testing.T) {
-	run := func() (sim.Time, RecoveryStats) {
+	run := func(rec *metrics.Recorder) (sim.Time, RecoveryStats) {
 		c := hardCluster(t, 16, "seed=2,killnode=3@1us,killlink=7:Y-@0ns,wdog=5us")
+		c.Metrics = rec
 		var at sim.Time
 		c.AllReduce(64, func(tm sim.Time) { at = tm })
 		c.Sim.Run()
 		return at, c.Recovery()
 	}
-	t1, r1 := run()
-	t2, r2 := run()
+	t1, r1 := run(nil)
+	t2, r2 := run(nil)
 	if t1 != t2 || r1 != r2 {
 		t.Fatalf("nondeterministic cluster recovery: (%v, %v) vs (%v, %v)", t1, r1, t2, r2)
+	}
+	rec := metrics.New()
+	if t3, r3 := run(rec); t3 != t1 || r3 != r1 {
+		t.Fatalf("recording changed the cluster recovery: (%v, %v) vs (%v, %v)", t3, r3, t1, r1)
+	}
+	if len(rec.Events()) == 0 {
+		t.Fatal("the recorder saw no events")
 	}
 }
 

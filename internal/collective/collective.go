@@ -115,9 +115,9 @@ type AllReduce struct {
 	partial [][]float64
 	dimOff  [topo.NumDims]packet.MulticastID
 
-	// rec, when a metrics recorder is attached to the machine's
-	// simulator, receives one labelled phase span per reduction round
-	// (first injection to last node's completion of that round).
+	// rec, the machine's Metrics recorder when it has one, receives one
+	// labelled phase span per reduction round (first injection to last
+	// node's completion of that round).
 	rec        *metrics.Recorder
 	roundStart [topo.NumDims]sim.Time
 	roundOpen  [topo.NumDims]bool
@@ -125,9 +125,10 @@ type AllReduce struct {
 }
 
 // NewAllReduce installs the multicast patterns for all three dimensions and
-// returns a ready all-reduce.
+// returns a ready all-reduce. It records its rounds into m.Metrics as set
+// when it is built.
 func NewAllReduce(m *machine.Machine, cfg Config) *AllReduce {
-	ar := &AllReduce{m: m, cfg: cfg, partial: make([][]float64, m.Torus.Nodes()), rec: m.Metrics()}
+	ar := &AllReduce{m: m, cfg: cfg, partial: make([][]float64, m.Torus.Nodes()), rec: m.Metrics}
 	id := cfg.McBase
 	for d := topo.X; d < topo.NumDims; d++ {
 		ar.dimOff[d] = id

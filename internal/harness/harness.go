@@ -6,9 +6,11 @@
 //
 // Experiments run inside a Session, which carries everything that may
 // perturb simulator construction or report content: the goroutine
-// budget, the fidelity tier, the fault plan, and the metrics toggle. A
-// Session is the only way to configure a run — the package keeps no
-// settings of its own — so two sessions with different fault plans can
+// budget, the fidelity tier and the fault plan. Only the metrics
+// experiment records lifecycle events: it sets a recorder on each model
+// it builds and reads it back. A Session is the only way to configure a
+// run — the package keeps no settings of its own — so two sessions with
+// different fault plans can
 // run concurrently in one process, which is what lets the serving tier
 // execute many sim sessions at once. Experiment.Check and ParsePlan hold
 // the rules on which (experiment, fidelity, fault plan) combinations may
@@ -25,7 +27,6 @@ import (
 	"anton/internal/fault"
 	"anton/internal/machine"
 	"anton/internal/mdmap"
-	"anton/internal/metrics"
 	"anton/internal/noc"
 	"anton/internal/par"
 	"anton/internal/sim"
@@ -96,8 +97,8 @@ var registry = map[string]Experiment{}
 func register(e Experiment) { registry[e.ID] = e }
 
 // Session is one isolated experiment run's configuration. The zero
-// value runs at DES fidelity with no faults and no metrics, on
-// GOMAXPROCS goroutines; set Workers to 1 for a sequential run.
+// value runs at DES fidelity with no faults, on GOMAXPROCS goroutines;
+// set Workers to 1 for a sequential run.
 // Sessions must not be shared between concurrent experiment runs (each
 // run owns its progress counter), but any number of sessions may run
 // concurrently — nothing in the harness is shared between them, which
@@ -118,10 +119,6 @@ type Session struct {
 	// builds; each simulator gets its own injector seeded from the plan,
 	// so a zero-rate plan reproduces the fault-free reports bit for bit.
 	Faults *fault.Plan
-	// Metrics attaches a passive lifecycle recorder to every simulator
-	// the session builds. Recording never changes a report byte (the
-	// zero-overhead identity gates pin this).
-	Metrics bool
 	// Progress, when non-nil, is called with the cumulative number of
 	// completed sweep units each time one finishes. Sweep units complete
 	// on pool goroutines, so the hook must be safe for concurrent use;
@@ -152,18 +149,14 @@ func (s *Session) fidelity() string {
 }
 
 // NewSim returns a fresh simulator configured by the session: the abort
-// hook, the fault plan (if any), and, when enabled, a metrics recorder.
-// Every experiment builds its simulators through this, which is how one
-// request's fault plan perturbs exactly that request's evaluation and
-// nothing else.
+// hook and the fault plan (if any). Every experiment builds its
+// simulators through this, which is how one request's fault plan
+// perturbs exactly that request's evaluation and nothing else.
 func (s *Session) NewSim() *sim.Sim {
 	sm := sim.New()
 	s.armAbort(sm)
 	if s.Faults != nil {
 		fault.Attach(sm, *s.Faults)
-	}
-	if s.Metrics {
-		metrics.Attach(sm)
 	}
 	return sm
 }

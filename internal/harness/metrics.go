@@ -101,11 +101,10 @@ type benchMetrics struct {
 // a fresh instrumented 512-node machine and returns the reconstructed
 // lifecycle's stage attribution and end-to-end latency.
 func measuredStages(sess *Session, dst topo.Coord, bytes int) ([]metrics.Stage, sim.Dur) {
-	s := sess.NewSim()
-	rec := metrics.Attach(s)
-	m := machine.Default512(s)
+	m := machine.Default512(sess.NewSim())
+	m.Metrics = metrics.New()
 	measureWrite(m, topo.C(0, 0, 0), dst, bytes, false)
-	lcs := rec.Lifecycles()
+	lcs := m.Metrics.Lifecycles()
 	if len(lcs) != 1 {
 		panic(fmt.Sprintf("harness: expected 1 lifecycle, got %d", len(lcs)))
 	}
@@ -151,12 +150,11 @@ func antonHist(sess *Session, quick bool) (*metrics.Hist, *metrics.Recorder, top
 	sizes := []int{0, 256}
 	shards := sweep(sess, (maxHops+1)*len(sizes), func(i int) *metrics.Hist {
 		h, b := i/len(sizes), sizes[i%len(sizes)]
-		s := sess.NewSim()
-		rec := metrics.Attach(s)
-		m := machine.Default512(s)
+		m := machine.Default512(sess.NewSim())
+		m.Metrics = metrics.New()
 		measureWrite(m, topo.C(0, 0, 0), hopPath(h), b, true)
 		hist := &metrics.Hist{}
-		hist.AddAll(rec.AntonLatencies())
+		hist.AddAll(m.Metrics.AntonLatencies())
 		return hist
 	})
 	total := &metrics.Hist{}
@@ -172,25 +170,25 @@ func antonHist(sess *Session, quick bool) (*metrics.Hist, *metrics.Recorder, top
 		tor = topo.NewTorus(4, 4, 4)
 	}
 	s := sess.NewSim()
-	rec := metrics.Attach(s)
 	m := machine.New(s, tor, noc.DefaultModel())
+	m.Metrics = metrics.New()
 	ar := collective.NewAllReduce(m, collective.DefaultConfig(32))
 	ar.Run(nil, nil)
 	s.Run()
-	total.AddAll(rec.AntonLatencies())
-	return total, rec, tor
+	total.AddAll(m.Metrics.AntonLatencies())
+	return total, m.Metrics, tor
 }
 
 // clusterHist builds the InfiniBand message-latency histogram from every
 // message of a recursive-doubling 32 B all-reduce across ranks ranks.
 func clusterHist(sess *Session, ranks int) *metrics.Hist {
 	s := sess.NewSim()
-	rec := metrics.Attach(s)
 	c := cluster.New(s, ranks, cluster.DDR2InfiniBand())
+	c.Metrics = metrics.New()
 	c.AllReduce(32, nil)
 	s.Run()
 	h := &metrics.Hist{}
-	h.AddAll(rec.ClusterLatencies())
+	h.AddAll(c.Metrics.ClusterLatencies())
 	return h
 }
 
@@ -199,8 +197,8 @@ func clusterHist(sess *Session, ranks int) *metrics.Hist {
 // three hops) followed by a 32 B all-reduce.
 func traceScenario(sess *Session) *metrics.Recorder {
 	s := sess.NewSim()
-	rec := metrics.Attach(s)
 	m := machine.New(s, topo.NewTorus(2, 2, 2), noc.DefaultModel())
+	m.Metrics = metrics.New()
 	measureWrite(m, topo.C(0, 0, 0), topo.C(1, 0, 0), 0, false)
 	measureWrite(m, topo.C(0, 0, 0), topo.C(1, 1, 1), 256, false)
 	ar := collective.NewAllReduce(m, collective.DefaultConfig(32))
@@ -212,7 +210,7 @@ func traceScenario(sess *Session) *metrics.Recorder {
 		return v
 	}, nil)
 	s.Run()
-	return rec
+	return m.Metrics
 }
 
 // metricsArtifacts runs the metrics experiment and returns the rendered

@@ -26,18 +26,3 @@ func TestMetricsArtifactsWorkerIndependent(t *testing.T) {
 		}
 	}
 }
-
-// TestMetricsToggleIdentity checks the other half of the contract on one
-// cheap experiment: attaching recorders to every harness simulator does
-// not change a byte of a report that never looks at them (the full
-// metrics-on golden identity test lives in cmd/antonbench).
-func TestMetricsToggleIdentity(t *testing.T) {
-	fig6, ok := Lookup("fig6")
-	if !ok {
-		t.Fatal("fig6 not registered")
-	}
-	want := fig6.RunWith(&Session{Workers: 1}, false)
-	if got := fig6.RunWith(&Session{Workers: 1, Metrics: true}, false); got != want {
-		t.Fatalf("metrics-on fig6 report differs from metrics-off:\n--- off ---\n%s\n--- on ---\n%s", want, got)
-	}
-}

@@ -119,10 +119,10 @@ func (c *Client) WaitRemote(ctr packet.CounterID, target uint64, fn func()) {
 }
 
 // armed brackets a counter wait with count-arm/count-fire lifecycle
-// events when a metrics recorder is attached. The wrapping fires fn in
+// events when the machine has a recorder. The wrapping fires fn in
 // exactly the same event slot, so recording never perturbs the schedule.
 func (c *Client) armed(ctr packet.CounterID, target uint64, fn func()) func() {
-	rec := c.m.metrics
+	rec := c.m.Metrics
 	if rec == nil {
 		return fn
 	}

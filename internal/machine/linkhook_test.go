@@ -35,8 +35,9 @@ func TestOnLinkCountersMatchRecorder(t *testing.T) {
 			if tc.plan != "" {
 				fault.Attach(s, fault.MustParsePlan(tc.plan))
 			}
-			rec := metrics.Attach(s)
 			m := New(s, topo.NewTorus(shape[0], shape[1], shape[2]), noc.DefaultModel())
+			rec := metrics.New()
+			m.Metrics = rec
 			hooked := make([]metrics.LinkCounters, m.Torus.Nodes()*len(topo.Ports))
 			m.OnLink = func(n topo.NodeID, p topo.Port, _ sim.Time, service sim.Dur, wireBytes int, wait sim.Dur) {
 				hooked[int(n)*len(topo.Ports)+topo.PortIndex(p)].Add(service, wireBytes, wait)

@@ -62,16 +62,16 @@ type Machine struct {
 	// Used by the logic-analyzer tracing of Figure 13 and by the analytic
 	// step model's link counters.
 	OnLink func(n topo.NodeID, p topo.Port, start sim.Time, service sim.Dur, wireBytes int, wait sim.Dur)
+	// Metrics, if non-nil, records every packet's lifecycle events and
+	// every link's occupancy. Set it right after New, before any
+	// traffic. Recording is purely passive (append-only), so a recorder
+	// never changes a simulation result.
+	Metrics *metrics.Recorder
 
 	// faults is the fault injector attached to the simulator, or nil.
 	// A nil injector (and a zero-rate plan) adds exactly zero to every
 	// latency, so the fault-free model is reproduced bit for bit.
 	faults *fault.Injector
-
-	// metrics is the lifecycle recorder attached to the simulator, or
-	// nil. Recording is purely passive (append-only), so an attached
-	// recorder never changes a simulation result.
-	metrics *metrics.Recorder
 
 	// Hard-failure survival state (recovery.go). All of it stays
 	// nil/zero — and every hard-path branch false — unless the attached
@@ -186,7 +186,6 @@ func New(s *sim.Sim, t topo.Torus, model noc.Model) *Machine {
 		Torus:    t,
 		Model:    model,
 		faults:   fault.FromSim(s),
-		metrics:  metrics.FromSim(s),
 		ordIssue: make(map[pairKey]uint64),
 		ordDst:   make(map[pairKey]*ordDst),
 	}
@@ -250,9 +249,6 @@ func (m *Machine) Stats() Stats {
 
 // Faults returns the fault injector driving this machine, or nil.
 func (m *Machine) Faults() *fault.Injector { return m.faults }
-
-// Metrics returns the lifecycle recorder observing this machine, or nil.
-func (m *Machine) Metrics() *metrics.Recorder { return m.metrics }
 
 // nextStart predicts the service-start time Sim.Acquire will use
 // for the next acquisition of r: the fault layer needs it to decide
@@ -329,8 +325,8 @@ func (m *Machine) inject(b *branch) {
 	}
 	m.stats.send(node.ID, pkt.WireBytes())
 	inject := start.Add(b.dur)
-	if m.metrics != nil {
-		m.metrics.PacketSend(pkt.Seq, pkt.Src, start, inject)
+	if m.Metrics != nil {
+		m.Metrics.PacketSend(pkt.Seq, pkt.Src, start, inject)
 	}
 	switch {
 	case pkt.Multicast != packet.NoMulticast:
@@ -374,8 +370,8 @@ func (m *Machine) depart(b *branch) {
 	// retransmission, transient stalls, and scheduled outages all extend
 	// both the link occupancy and the arrival.
 	extra := m.faults.LinkExtra(int(node.ID), port, service, m.nextStart(link))
-	if m.metrics != nil {
-		m.metrics.HopDepart(pkt.Seq, node.ID, port, m.Sim.Now())
+	if m.Metrics != nil {
+		m.Metrics.HopDepart(pkt.Seq, node.ID, port, m.Sim.Now())
 	}
 	b.st, b.dur, b.extra = stCross, service, extra
 	m.Sim.Acquire(link, service+extra, b)
@@ -419,9 +415,9 @@ func (m *Machine) cross(b *branch) {
 	if m.OnLink != nil {
 		m.OnLink(node.ID, port, start, occupancy, pkt.WireBytes(), start.Sub(b.head))
 	}
-	if m.metrics != nil {
-		m.metrics.LinkTransfer(pkt.Seq, node.ID, port, start, occupancy, pkt.WireBytes(), start.Sub(b.head))
-		m.metrics.HopArrive(pkt.Seq, next.ID, arrival)
+	if m.Metrics != nil {
+		m.Metrics.LinkTransfer(pkt.Seq, node.ID, port, start, occupancy, pkt.WireBytes(), start.Sub(b.head))
+		m.Metrics.HopArrive(pkt.Seq, next.ID, arrival)
 	}
 	switch {
 	case mc:
@@ -504,8 +500,8 @@ func (m *Machine) receive(b *branch) {
 func (m *Machine) available(b *branch) {
 	pkt, dst := b.pkt, b.dst
 	start := m.Sim.Now()
-	if m.metrics != nil {
-		m.metrics.DeliverStart(pkt.Seq, dst.Addr, start)
+	if m.Metrics != nil {
+		m.Metrics.DeliverStart(pkt.Seq, dst.Addr, start)
 	}
 	lat := m.Model.DeliverLatency(dst.Addr.Kind)
 	lat += m.faults.NodeSlowExtra(int(dst.Addr.Node), lat)
@@ -566,8 +562,8 @@ func (m *Machine) commit(pkt *packet.Packet, dst *Client) {
 	}
 	m.stats.recv(dst.Addr.Node, pkt.WireBytes())
 	now := m.Sim.Now()
-	if m.metrics != nil {
-		m.metrics.Deliver(pkt.Seq, dst.Addr, now)
+	if m.Metrics != nil {
+		m.Metrics.Deliver(pkt.Seq, dst.Addr, now)
 	}
 	if m.OnDeliver != nil {
 		m.OnDeliver(pkt, dst.Addr, now)

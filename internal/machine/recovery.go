@@ -213,7 +213,7 @@ func (m *Machine) recStateFor(key recKey) *recState {
 func (m *Machine) losePacket(pkt *packet.Packet, dst packet.Client, reason lossReason) {
 	now := m.Sim.Now()
 	m.rec.Lost++
-	m.metrics.PacketLost(pkt.Seq, dst, int(reason), now)
+	m.Metrics.PacketLost(pkt.Seq, dst, int(reason), now)
 	if pkt.InOrder {
 		m.commitInOrder(pkt, dst, now, sim.Func(func() {}))
 	}
@@ -380,7 +380,7 @@ func (m *Machine) watchdogCheck(ws *waitState) {
 			ws.c.Addr, ws.ctr, cnt.Value(), ws.target, ws.checks))
 	}
 	m.rec.WatchdogFires++
-	m.metrics.WatchdogFire(ws.c.Addr, ws.ctr, ws.target, m.Sim.Now())
+	m.Metrics.WatchdogFire(ws.c.Addr, ws.ctr, ws.target, m.Sim.Now())
 	key := recKey{ws.c.Addr, ws.ctr}
 	st := m.deficit[key]
 	if m.nodeDeadNow(ws.c.Addr.Node) {
@@ -400,7 +400,7 @@ func (m *Machine) watchdogCheck(ws *waitState) {
 				continue
 			}
 			m.rec.Reissues++
-			m.metrics.Reissue(cp.Seq, cp.Dst, cp.Counter, m.Sim.Now())
+			m.Metrics.Reissue(cp.Seq, cp.Dst, cp.Counter, m.Sim.Now())
 			re := new(packet.Packet)
 			*re = *cp
 			m.send(m.Client(cp.Src), re)
@@ -437,6 +437,6 @@ func (m *Machine) completeDegraded(ws *waitState, st *recState) {
 	}
 	m.rec.Degraded++
 	m.rec.DegradedInc += add
-	m.metrics.Degraded(ws.c.Addr, ws.ctr, add, m.Sim.Now())
+	m.Metrics.Degraded(ws.c.Addr, ws.ctr, add, m.Sim.Now())
 	cnt.Add(add)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"anton/internal/fault"
+	"anton/internal/metrics"
 	"anton/internal/noc"
 	"anton/internal/packet"
 	"anton/internal/sim"
@@ -349,11 +350,13 @@ const recoverySeeds = 300
 // writes with registered waits sized to the exactly reachable targets.
 // With stop set, the run stops three times with RunUntil while traffic
 // (and, for kill classes, watchdog recovery) is in flight before it
-// runs to the end. The log holds every send, delivery and wait
-// completion with its time, then the traffic stats, the recovery tally,
-// the final clock, Fired() and Pending(). Every run must end with every
-// packet accounted for and nothing pending.
-func recoveryTrajectory(t *testing.T, seed int, stop bool) (string, RecoveryStats) {
+// runs to the end. With record set, the machine carries a metrics
+// recorder, which must record events and leave the log unchanged. The
+// log holds every send, delivery and wait completion with its time, then
+// the traffic stats, the recovery tally, the final clock, Fired() and
+// Pending(). Every run must end quiescent with its conservation laws
+// holding (checkQuiescent).
+func recoveryTrajectory(t *testing.T, seed int, stop, record bool) (string, RecoveryStats) {
 	t.Helper()
 	shapes := [][3]int{{2, 2, 2}, {4, 2, 2}, {4, 4, 2}, {4, 4, 4}}
 
@@ -394,6 +397,9 @@ func recoveryTrajectory(t *testing.T, seed int, stop bool) (string, RecoveryStat
 		fault.Attach(s, plan)
 	}
 	m := New(s, tor, noc.DefaultModel())
+	if record {
+		m.Metrics = metrics.New()
+	}
 
 	var log strings.Builder
 	m.OnSend = func(pkt *packet.Packet, at sim.Time) {
@@ -453,14 +459,49 @@ func recoveryTrajectory(t *testing.T, seed int, stop bool) (string, RecoveryStat
 	fmt.Fprintf(&log, "stats %d %d %d %d\n", st.Sent, st.Received, st.SentBytes, st.RecvBytes)
 	fmt.Fprintf(&log, "recovery %v\n", rec)
 	fmt.Fprintf(&log, "end %v %d pending=%d\n", s.Now(), s.Fired(), s.Pending())
-	// Conservation at quiescence: every unicast injection, first send or
-	// re-issue, commits or is booked lost, exactly once, and no event is
-	// left queued.
-	if in, out := sends+rec.Reissues, st.Received+rec.Lost; in != out || s.Pending() != 0 {
-		t.Fatalf("seed %d: %d sends + %d reissues != %d received + %d lost, or %d events pending",
-			seed, sends, rec.Reissues, st.Received, rec.Lost, s.Pending())
+	var counted uint64
+	for _, key := range order {
+		counted += m.Client(key.c).Counter(key.ctr).Value()
+	}
+	if err := checkQuiescent(m, sends, counted); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	if record && len(m.Metrics.Events()) == 0 {
+		t.Fatalf("seed %d: the recorder saw no events", seed)
 	}
 	return log.String(), rec
+}
+
+// checkQuiescent checks a drained machine's conservation laws, given the
+// number of first sends and the summed values of every counter they
+// target:
+//   - every unicast injection, first send or re-issue, commits or is
+//     booked lost, exactly once, and no event is left queued;
+//   - counter increments equal counted commits plus the increments
+//     degraded completions synthesized;
+//   - every in-order ledger and every deficit entry's re-issue list is
+//     empty.
+func checkQuiescent(m *Machine, sends, counted uint64) error {
+	st, rec := m.Stats(), m.Recovery()
+	if in, out := sends+rec.Reissues, st.Received+rec.Lost; in != out || m.Sim.Pending() != 0 {
+		return fmt.Errorf("%d sends + %d reissues != %d received + %d lost, or %d events pending",
+			sends, rec.Reissues, st.Received, rec.Lost, m.Sim.Pending())
+	}
+	if counted != st.Received+rec.DegradedInc {
+		return fmt.Errorf("counters sum to %d, want %d received + %d degraded increments",
+			counted, st.Received, rec.DegradedInc)
+	}
+	for key, od := range m.ordDst {
+		if len(od.pending) != 0 {
+			return fmt.Errorf("in-order ledger %v -> %v holds %d uncommitted packets", key.src, key.dst, len(od.pending))
+		}
+	}
+	for key, d := range m.deficit {
+		if len(d.lost) != 0 {
+			return fmt.Errorf("deficit %+v holds %d writes never re-issued", key, len(d.lost))
+		}
+	}
+	return nil
 }
 
 // TestRecoveryRunUntilStress is a replay battery for hard-failure
@@ -475,8 +516,8 @@ func TestRecoveryRunUntilStress(t *testing.T) {
 	}
 	var recovered uint64
 	for seed := 0; seed < seeds; seed++ {
-		want, _ := recoveryTrajectory(t, seed, false)
-		got, rec := recoveryTrajectory(t, seed, true)
+		want, _ := recoveryTrajectory(t, seed, false, false)
+		got, rec := recoveryTrajectory(t, seed, true, false)
 		if got != want {
 			t.Fatalf("seed %d: trajectory with RunUntil stops diverged from a straight Run\n--- straight ---\n%s\n--- with stops ---\n%s",
 				seed, want, got)
@@ -493,34 +534,41 @@ func TestRecoveryRunUntilStress(t *testing.T) {
 // SHA-256 of its log, which records every send, delivery and wait
 // completion with its time, the stats, the recovery tally, the final
 // clock and the event counts. A change to the transport that moves one
-// event, tie-break or loss changes a digest. Regenerate with
+// event, tie-break or loss changes a digest. Each seed runs a second
+// time with a metrics recorder on the machine and must give the same
+// line: recording is passive. Regenerate with
 //
 //	go test ./internal/machine -run TestHardPathTrajectoryGolden -update
 func TestHardPathTrajectoryGolden(t *testing.T) {
-	var got strings.Builder
-	for seed := 0; seed < recoverySeeds; seed++ {
-		log, _ := recoveryTrajectory(t, seed, false)
-		fmt.Fprintf(&got, "%d %x\n", seed, sha256.Sum256([]byte(log)))
+	digests := func(record bool) string {
+		var b strings.Builder
+		for seed := 0; seed < recoverySeeds; seed++ {
+			log, _ := recoveryTrajectory(t, seed, false, record)
+			fmt.Fprintf(&b, "%d %x\n", seed, sha256.Sum256([]byte(log)))
+		}
+		return b.String()
 	}
+	got, recorded := digests(false), digests(true)
 	path := filepath.Join("testdata", "hardpath-trajectories.golden")
 	if *update {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	gotLines := strings.Split(got.String(), "\n")
 	wantLines := strings.Split(string(want), "\n")
-	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%d trajectory lines, golden has %d", len(gotLines), len(wantLines))
-	}
-	for i := range gotLines {
-		if gotLines[i] != wantLines[i] {
-			t.Errorf("trajectory digest changed: got %q, golden %q", gotLines[i], wantLines[i])
+	for _, run := range []struct{ name, got string }{{"plain", got}, {"recorded", recorded}} {
+		gotLines := strings.Split(run.got, "\n")
+		if len(gotLines) != len(wantLines) {
+			t.Fatalf("%s: %d trajectory lines, golden has %d", run.name, len(gotLines), len(wantLines))
+		}
+		for i := range gotLines {
+			if gotLines[i] != wantLines[i] {
+				t.Errorf("%s: trajectory digest changed: got %q, golden %q", run.name, gotLines[i], wantLines[i])
+			}
 		}
 	}
 }

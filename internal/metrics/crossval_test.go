@@ -18,14 +18,14 @@ import (
 func measure(t *testing.T, dst topo.Coord, bytes int) *metrics.Lifecycle {
 	t.Helper()
 	s := sim.New()
-	rec := metrics.Attach(s)
 	m := machine.Default512(s)
+	m.Metrics = metrics.New()
 	a := packet.Client{Node: m.Torus.ID(topo.C(0, 0, 0)), Kind: packet.Slice0}
 	b := packet.Client{Node: m.Torus.ID(dst), Kind: packet.Slice0}
 	m.Client(b).Wait(9, 1, func() {})
 	m.Client(a).Write(b, 9, 0, bytes)
 	s.Run()
-	lcs := rec.Lifecycles()
+	lcs := m.Metrics.Lifecycles()
 	if len(lcs) != 1 {
 		t.Fatalf("got %d lifecycles, want 1", len(lcs))
 	}

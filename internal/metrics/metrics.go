@@ -6,19 +6,21 @@
 // attribution, latency histograms with p50/p99/max, and per-link
 // utilization — plus a chrome://tracing-compatible JSON export of any run.
 //
-// The recorder is attached to a simulator through sim.Sim.Metrics (the
-// same narrow hook the fault layer uses), so the machine, cluster, and
-// collective models pick it up without new constructor parameters and the
-// fault and host-parallelism layers compose unchanged.
+// A recorder observes one model: the code that reads it sets the model's
+// Metrics field (machine.Machine.Metrics, cluster.Cluster.Metrics) right
+// after building the model, next to the OnSend/OnDeliver/OnLink hooks,
+// and collective.NewAllReduce picks up its machine's. No constructor
+// takes a recorder and no simulator carries one, so only the runs that
+// read a recorder pay for one.
 //
 // Determinism contract: recording is purely passive. Every method only
 // appends to buffers or bumps counters — none schedules simulator events,
-// reads wall-clock time, or draws randomness — so a run with metrics
-// enabled is bit-identical to the same run with metrics disabled, and the
-// recorded stream for a fixed (plan, seed) is byte-identical at any host
-// worker count (each simulator instance owns a private recorder; shards
-// are merged in index order). All methods are safe on a nil *Recorder and
-// cost one predicted branch, which is the disabled state.
+// reads wall-clock time, or draws randomness — so a run with a recorder
+// is bit-identical to the same run without one, and the recorded stream
+// for a fixed (plan, seed) is byte-identical at any host worker count
+// (each model instance owns a private recorder; shards are merged in
+// index order). All methods are safe on a nil *Recorder and cost one
+// predicted branch, which is the disabled state.
 package metrics
 
 import (
@@ -139,24 +141,6 @@ type PhaseSpan struct {
 
 // New returns an empty recorder.
 func New() *Recorder { return &Recorder{links: make(map[LinkKey]*LinkCounters)} }
-
-// Attach installs a fresh recorder on s, where the model constructors
-// (machine.New, cluster.New, collective.NewAllReduce) will find it, and
-// returns it.
-func Attach(s *sim.Sim) *Recorder {
-	r := New()
-	s.Metrics = r
-	return r
-}
-
-// FromSim returns the recorder attached to s, or nil.
-func FromSim(s *sim.Sim) *Recorder {
-	r, _ := s.Metrics.(*Recorder)
-	return r
-}
-
-// Enabled reports whether r records anything (false for nil).
-func (r *Recorder) Enabled() bool { return r != nil }
 
 func (r *Recorder) add(e Event) { r.events = append(r.events, e) }
 

@@ -14,17 +14,16 @@ import (
 )
 
 // recoveryRun streams n 256-byte counted writes (0,0,0) -> (1,0,0) on a
-// 4x4x4 machine under plan, optionally with a recorder attached, and
-// returns the recorder (nil if record is false), the completion time,
-// and the destination's memory.
+// 4x4x4 machine under plan, optionally with a recorder, and returns the
+// recorder (nil if record is false), the completion time, and the
+// destination's memory.
 func recoveryRun(plan string, n int, record bool) (*metrics.Recorder, sim.Time, []float64) {
 	s := sim.New()
-	var rec *metrics.Recorder
-	if record {
-		rec = metrics.Attach(s)
-	}
 	fault.Attach(s, fault.MustParsePlan(plan))
 	m := machine.New(s, topo.NewTorus(4, 4, 4), noc.DefaultModel())
+	if record {
+		m.Metrics = metrics.New()
+	}
 	a := packet.Client{Node: m.Torus.ID(topo.C(0, 0, 0)), Kind: packet.Slice0}
 	b := packet.Client{Node: m.Torus.ID(topo.C(1, 0, 0)), Kind: packet.Slice0}
 	var done sim.Time = -1
@@ -33,7 +32,7 @@ func recoveryRun(plan string, n int, record bool) (*metrics.Recorder, sim.Time, 
 		m.Client(a).Write(b, 7, i, 256, float64(i))
 	}
 	s.Run()
-	return rec, done, m.Client(b).Mem(0, n)
+	return m.Metrics, done, m.Client(b).Mem(0, n)
 }
 
 // countKinds tallies the recovery-related event kinds in a stream.
@@ -98,7 +97,7 @@ func TestRecoveryEventsInLifecycleStream(t *testing.T) {
 // TestRecoveryRecordingZeroOverhead pins that observing a recovery
 // changes nothing about it: the killed-link run's completion time and
 // recovered memory contents are bit-identical with and without a
-// recorder attached.
+// recorder.
 func TestRecoveryRecordingZeroOverhead(t *testing.T) {
 	_, plainDone, plainMem := recoveryRun("seed=1,killlink=0:X+@1us,wdog=5us", 40, false)
 	_, recDone, recMem := recoveryRun("seed=1,killlink=0:X+@1us,wdog=5us", 40, true)

@@ -105,9 +105,6 @@ func marshalRequest(r Request) ([]byte, error) {
 	if r.Workers != 0 {
 		fmt.Fprintf(b, `,"workers":%d`, r.Workers)
 	}
-	if r.Metrics {
-		fmt.Fprint(b, `,"metrics":true`)
-	}
 	fmt.Fprint(b, "}")
 	return b.Bytes(), nil
 }
@@ -140,14 +137,10 @@ func TestCacheEquivalence(t *testing.T) {
 			if o1 != Miss {
 				t.Fatalf("first request: outcome %v, want miss", o1)
 			}
-			// The hit request deliberately differs in workers and metrics:
-			// byte-identity must hold across those knobs too.
+			// The hit request deliberately differs in workers:
+			// byte-identity must hold across that knob too.
 			hitReq := req
 			hitReq.Workers = 3
-			hitReq.Metrics = !req.Metrics
-			if req.Fidelity == harness.FidelityAnalytic {
-				hitReq.Metrics = false // analytic sessions build no sim to attach to
-			}
 			o2, cached := postRun(t, ts.URL, hitReq)
 			if o2 != Hit {
 				t.Fatalf("second request: outcome %v, want hit", o2)

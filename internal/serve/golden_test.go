@@ -85,8 +85,8 @@ func TestAPIGolden(t *testing.T) {
 	call("unknown field", "POST", "/api/v1/run", `{"experiment":"fig5","fidelty":"des"}`)
 	call("wrong method", "GET", "/api/v1/run", "")
 	call("run fastpath analytic (miss)", "POST", "/api/v1/run", fastpath)
-	call("run again, different workers/metrics (hit, same bytes)", "POST", "/api/v1/run",
-		`{"workers":5,"metrics":true,"experiment":"fastpath","fidelity":"analytic","quick":true}`)
+	call("run again, different workers (hit, same bytes)", "POST", "/api/v1/run",
+		`{"workers":5,"experiment":"fastpath","fidelity":"analytic","quick":true}`)
 	call("run again with a generous timeout (hit, same bytes: timeout never changes the digest)", "POST", "/api/v1/run",
 		`{"experiment":"fastpath","fidelity":"analytic","quick":true,"timeout_ms":60000}`)
 	call("result by digest", "GET", "/api/v1/results/"+digest, "")

@@ -40,6 +40,7 @@ func FuzzHandler(f *testing.F) {
 	f.Add("j1")
 	f.Add("../..")
 	f.Add("bench")
+	f.Add(`{"experiment":"fig5","metrics":true}`)
 
 	srv, err := New(Config{})
 	if err != nil {

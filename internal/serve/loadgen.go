@@ -30,8 +30,8 @@ import (
 
 // DefaultMix is the standard load mix: cheap experiments at both
 // fidelities, a faulted variant, and spellings that differ only in
-// workers/metrics — which share a digest by design, so a correct cache
-// turns them into hits.
+// workers — which share a digest by design, so a correct cache turns
+// them into hits.
 func DefaultMix() []Request {
 	return []Request{
 		{Experiment: "fastpath", Fidelity: "analytic", Quick: true},
@@ -40,9 +40,9 @@ func DefaultMix() []Request {
 		{Experiment: "table1", Quick: true},
 		{Experiment: "table2", Quick: true},
 		{Experiment: "fig6", Faults: "seed=7,corrupt=1e-4,retry=250ns", Quick: true},
-		// Same digests as the fig5/fastpath entries above: workers and
-		// metrics never change a response byte.
-		{Experiment: "fig5", Quick: true, Workers: 4, Metrics: true},
+		// Same digests as the fig5/fastpath entries above: workers never
+		// change a response byte.
+		{Experiment: "fig5", Quick: true, Workers: 4},
 		{Experiment: "fastpath", Fidelity: "analytic", Quick: true, Workers: 2},
 	}
 }
@@ -58,15 +58,17 @@ type LoadConfig struct {
 	// transport errors and the shedding statuses 503/504. 0 disables
 	// retries (the seed behaviour).
 	Retries int
-	// Backoff is the base retry delay: attempt k waits Backoff<<(k-1)
-	// plus deterministic seeded jitter in [0, Backoff), raised to the
-	// server's Retry-After hint when that is larger (default 50ms).
+	// Backoff is the base retry delay (default 50ms): attempt k waits
+	// Backoff<<(k-1) plus deterministic seeded jitter in [0, Backoff),
+	// raised to the server's Retry-After hint when that is larger and
+	// capped at maxBackoff.
 	Backoff time.Duration
-	// MaxBackoff caps any single wait, Retry-After included (default 2s)
-	// — a load generator that sleeps the full server hint would measure
-	// the hint, not the recovery.
-	MaxBackoff time.Duration
 }
+
+// maxBackoff caps any single retry wait, Retry-After included: a load
+// generator that sleeps the full server hint would measure the hint, not
+// the recovery.
+const maxBackoff = 2 * time.Second
 
 func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Requests <= 0 {
@@ -80,9 +82,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.Backoff <= 0 {
 		c.Backoff = 50 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
 	}
 	return c
 }
@@ -207,15 +206,15 @@ func RunLoad(baseURL string, client *http.Client, cfg LoadConfig) (LoadStats, er
 					// extra amount, so a replayed run schedules identically.
 					shift := attempts - 1
 					if shift > 10 {
-						shift = 10 // MaxBackoff caps the wait anyway
+						shift = 10 // maxBackoff caps the wait anyway
 					}
 					wait := cfg.Backoff << shift
 					wait += time.Duration(splitmix64(cfg.Seed^uint64(i)<<16^uint64(attempts)) % uint64(cfg.Backoff))
 					if ra := time.Duration(retryAfter) * time.Second; ra > wait {
 						wait = ra
 					}
-					if wait > cfg.MaxBackoff {
-						wait = cfg.MaxBackoff
+					if wait > maxBackoff {
+						wait = maxBackoff
 					}
 					time.Sleep(wait)
 				}

@@ -5,9 +5,9 @@
 //
 // The cache key is a canonical digest of the *normalized* request.
 // Every simulation result is bit-deterministic — byte-identical at any
-// worker count and with metrics recording on or off — so the digest
-// deliberately excludes the workers and metrics fields: they change how
-// fast an answer is produced, never which bytes it contains. What
+// worker count — so the digest deliberately excludes the workers and
+// timeout_ms fields: they change how fast an answer is produced, or
+// whether it is produced in time, never which bytes it contains. What
 // remains (experiment id, fidelity tier, canonical fault-plan string,
 // quick flag) is exactly the set of inputs that can change a report
 // byte, which is what makes cached responses byte-identical to fresh
@@ -43,16 +43,12 @@ type Request struct {
 	// server default). It never changes a response byte and is excluded
 	// from the cache digest.
 	Workers int `json:"workers,omitempty"`
-	// Metrics attaches passive lifecycle recorders to the run's
-	// simulators. Recording never changes a response byte and is excluded
-	// from the cache digest.
-	Metrics bool `json:"metrics,omitempty"`
 	// TimeoutMs bounds this request's end-to-end time in milliseconds
 	// (0 = the server's default deadline, if configured). A request that
 	// misses its deadline answers 504 and its computation aborts
 	// cooperatively; timed-out runs never populate the cache. Like
-	// workers/metrics it cannot change a response byte, so it is excluded
-	// from the cache digest.
+	// workers it cannot change a response byte, so it is excluded from
+	// the cache digest.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 }
 
@@ -73,7 +69,6 @@ type NormRequest struct {
 	Plan       *fault.Plan
 	Quick      bool
 	Workers    int
-	Metrics    bool
 	// Timeout is the request's deadline budget (0: use the server
 	// default; never negative after Normalize).
 	Timeout time.Duration
@@ -105,7 +100,7 @@ func Normalize(r Request) (*NormRequest, error) {
 		return nil, &BadRequestError{Code: "bad-timeout",
 			Msg: fmt.Sprintf("timeout_ms must be >= 0, got %d", r.TimeoutMs)}
 	}
-	n := &NormRequest{Experiment: e, Fidelity: f, Quick: r.Quick, Workers: r.Workers, Metrics: r.Metrics,
+	n := &NormRequest{Experiment: e, Fidelity: f, Quick: r.Quick, Workers: r.Workers,
 		Timeout: time.Duration(r.TimeoutMs) * time.Millisecond}
 	if err := e.Check(f, r.Faults != ""); err != nil {
 		return nil, &BadRequestError{Code: "analytic-refused", Msg: err.Error()}
@@ -139,7 +134,7 @@ func ParseRequest(body []byte) (*NormRequest, error) {
 
 // Digest returns the canonical cache key: a SHA-256 over the digest
 // schema tag and the result-determining fields, NUL-separated. Workers
-// and metrics are excluded by design — see the package comment. Two
+// and the timeout are excluded by design — see the package comment. Two
 // requests share a digest if and only if their responses are
 // byte-identical.
 func (n *NormRequest) Digest() string {
@@ -175,7 +170,6 @@ func (n *NormRequest) Session(defaultWorkers int, progress func(int)) *harness.S
 		Workers:  w,
 		Fidelity: n.Fidelity,
 		Faults:   n.Plan,
-		Metrics:  n.Metrics,
 		Progress: progress,
 	}
 }

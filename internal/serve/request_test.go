@@ -20,6 +20,7 @@ func TestNormalizeErrors(t *testing.T) {
 		{"bad plan", `{"experiment":"fig5","faults":"corrupt=lots"}`, "bad-plan"},
 		{"plan outside topology", `{"experiment":"fig5","faults":"killnode=9999@1us"}`, "bad-plan"},
 		{"unknown field", `{"experiment":"fig5","fidelty":"des"}`, "bad-json"},
+		{"metrics field", `{"experiment":"fig5","metrics":true}`, "bad-json"},
 		{"trailing data", `{"experiment":"fig5"}{"experiment":"fig6"}`, "bad-json"},
 		{"not json", `hello`, "bad-json"},
 	}
@@ -40,16 +41,17 @@ func TestNormalizeErrors(t *testing.T) {
 	}
 }
 
+// TestDigestExcludesWorkersAndMetrics: spellings that differ only in
+// the workers budget share a digest. There is no metrics field to
+// exclude: a body carrying one is refused (TestNormalizeErrors).
 func TestDigestExcludesWorkersAndMetrics(t *testing.T) {
 	base := mustNormalize(t, `{"experiment":"fig5","quick":true}`)
 	for _, body := range []string{
 		`{"experiment":"fig5","quick":true,"workers":8}`,
-		`{"experiment":"fig5","quick":true,"metrics":true}`,
-		`{"experiment":"fig5","quick":true,"workers":3,"metrics":true}`,
 		`{"experiment":"fig5","quick":true,"fidelity":"des"}`, // explicit default
 	} {
 		if d := mustNormalize(t, body).Digest(); d != base.Digest() {
-			t.Errorf("digest(%s) = %s, want the workers/metrics-independent %s", body, d, base.Digest())
+			t.Errorf("digest(%s) = %s, want the workers-independent %s", body, d, base.Digest())
 		}
 	}
 	for _, body := range []string{
@@ -117,7 +119,7 @@ func mustNormalize(t *testing.T, body string) *NormRequest {
 // FuzzRequestDigest: for any accepted request body, the digest must be
 // invariant under JSON re-encoding — key reorder (Go re-marshals maps
 // in sorted key order), whitespace (indentation), and changes to the
-// workers/metrics fields — and two bodies that normalize differently
+// workers/timeout_ms fields — and two bodies that normalize differently
 // must digest differently.
 func FuzzRequestDigest(f *testing.F) {
 	f.Add(`{"experiment":"fig5"}`)
@@ -126,9 +128,9 @@ func FuzzRequestDigest(f *testing.F) {
 	f.Add(`{"experiment":"fastpath","fidelity":"analytic","quick":true}`)
 	f.Add(`{"experiment":"fig6","faults":"seed=7,corrupt=1e-4,retry=250ns"}`)
 	f.Add(`{"experiment":"table3","faults":" corrupt=0.0001 ,seed=7"}`)
-	f.Add(`{"experiment":"metrics","metrics":true}`)
+	f.Add(`{"experiment":"metrics"}`)
 	f.Add(`{"experiment":"killsweep","faults":"seed=9,killlink=0:X+@2us,wdog=15us"}`)
-	f.Add(`{"experiment":"fig12","quick":true,"workers":8,"metrics":true}`)
+	f.Add(`{"experiment":"fig12","quick":true,"workers":8}`)
 	f.Add(`  {  "experiment" : "table1" , "quick" : false }  `)
 	f.Add(`{"experiment":"fig5","quick":true,"timeout_ms":2500}`)
 	f.Fuzz(func(t *testing.T, body string) {
@@ -156,12 +158,11 @@ func FuzzRequestDigest(f *testing.F) {
 				body, d, reordered, n2.Digest())
 		}
 
-		// Workers, metrics, and timeout_ms must never move the digest:
-		// the same experiment under a different execution budget is the
-		// same result, or the cache (and the chaos battery's byte-identity
+		// Workers and timeout_ms must never move the digest: the same
+		// experiment under a different execution budget is the same
+		// result, or the cache (and the chaos battery's byte-identity
 		// checks) would fracture by deadline.
 		m["workers"] = float64(7)
-		m["metrics"] = true
 		m["timeout_ms"] = float64(12345)
 		mutated, err := json.Marshal(m)
 		if err != nil {
@@ -169,10 +170,10 @@ func FuzzRequestDigest(f *testing.F) {
 		}
 		n3, err := ParseRequest(mutated)
 		if err != nil {
-			t.Fatalf("workers/metrics/timeout mutation rejected: %v (%s)", err, mutated)
+			t.Fatalf("workers/timeout mutation rejected: %v (%s)", err, mutated)
 		}
 		if n3.Digest() != d {
-			t.Fatalf("digest depends on workers/metrics/timeout_ms: %s -> %s", mutated, n3.Digest())
+			t.Fatalf("digest depends on workers/timeout_ms: %s -> %s", mutated, n3.Digest())
 		}
 
 		// Flipping quick must move it (quick changes sampling density,

@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"strconv"
 	"strings"
@@ -28,9 +30,6 @@ type Config struct {
 	// answered, the same at-most-one-job-lost granularity as the
 	// antonbench CLI's per-experiment snapshots.
 	CheckpointPath string
-	// MaxJobs bounds the async job registry; the oldest finished jobs are
-	// forgotten beyond it (default 1024).
-	MaxJobs int
 	// DefaultTimeout bounds every request that does not set timeout_ms
 	// (0: requests without timeout_ms have no deadline).
 	DefaultTimeout time.Duration
@@ -50,6 +49,10 @@ const (
 	stateReady
 	stateDraining
 )
+
+// maxJobs bounds the async job registry; the oldest finished jobs are
+// forgotten beyond it.
+const maxJobs = 1024
 
 // Server is the simulation-as-a-service HTTP tier.
 type Server struct {
@@ -89,9 +92,6 @@ type Server struct {
 // the restore finished could persist a half-restored cache over the
 // checkpoint.
 func NewStarting(cfg Config) *Server {
-	if cfg.MaxJobs <= 0 {
-		cfg.MaxJobs = 1024
-	}
 	if cfg.DrainBudget <= 0 {
 		cfg.DrainBudget = 15 * time.Second
 	}
@@ -477,7 +477,7 @@ func (s *Server) registerJob(j *Job) {
 	j.ID = fmt.Sprintf("j%d", s.jobSeq)
 	s.jobs[j.ID] = j
 	s.jobOrder = append(s.jobOrder, j.ID)
-	for len(s.jobOrder) > s.cfg.MaxJobs {
+	for len(s.jobOrder) > maxJobs {
 		// Forget the oldest finished job; a still-active head stalls
 		// eviction rather than losing a live handle.
 		old := s.jobs[s.jobOrder[0]]
@@ -708,7 +708,7 @@ func (s *Server) persist() {
 func (s *Server) restore() error {
 	st, err := checkpoint.ReadFile(s.cfg.CheckpointPath)
 	if err != nil {
-		if isNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil
 		}
 		return err
@@ -731,8 +731,4 @@ func (s *Server) restore() error {
 		s.cache.Seed(parts[0], res)
 	}
 	return nil
-}
-
-func isNotExist(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "no such file")
 }

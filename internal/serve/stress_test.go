@@ -44,7 +44,7 @@ func TestServeStressMixedClients(t *testing.T) {
 		[]byte(`{"experiment":"fig6","quick":true}`),
 		[]byte(`{"experiment":"table1","quick":true}`),
 		[]byte(`{"experiment":"fig6","quick":true,"faults":"seed=7,corrupt=1e-4,retry=250ns"}`),
-		[]byte(`{"experiment":"fig5","quick":true,"workers":2,"metrics":true}`),
+		[]byte(`{"experiment":"fig5","quick":true,"workers":2}`),
 	}
 	bad := [][]byte{
 		[]byte(`{"experiment":"nope"}`),

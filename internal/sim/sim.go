@@ -99,14 +99,6 @@ type Sim struct {
 	abortFn    func() bool
 	aborted    bool
 	abortBatch int
-
-	// Metrics is the attachment point for the observability layer
-	// (internal/metrics): metrics.Attach stores its *Recorder here and
-	// the model constructors pick it up, exactly like Faults. The
-	// recorder is purely passive — it appends to buffers and never
-	// schedules events — so attaching it cannot change a single bit of
-	// any simulation result.
-	Metrics any
 }
 
 // New returns a fresh simulator at time zero.
